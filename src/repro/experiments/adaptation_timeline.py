@@ -68,7 +68,6 @@ def run_one(
             trace=True,
             response_timeout_factor=3.0,
             fd_poll_interval_ms=1000.0,
-            fd_confirm_polls=2,
         )
     )
     scenario.add_client(

@@ -52,27 +52,15 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.estimator import QueueScaledEstimator
 from ..core.qos import QoSSpec
 from ..core.selection import DynamicSelectionPolicy
-from ..faultinject import ClockDriver, ClockFault, FaultSchedule
-from ..gateway.gateway import Gateway
+from ..deployment import SERVICE, Deployment
+from ..faultinject import ClockFault, FaultSchedule
 from ..gateway.handlers.timing_fault import (
     PerformanceUpdate,
     TimingFaultClientHandler,
-    TimingFaultServerHandler,
     _PendingRequest,
 )
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
 from ..health import HealthConfig, HealthState
-from ..net.lan import LanModel, LinkProfile
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
 from ..sim.random import Constant, RandomStreams
-from ..workload.scenarios import IntegerServant, make_interface
 from .harness import average, print_table
 from .parallel import run_sweep
 
@@ -80,6 +68,7 @@ __all__ = [
     "ClockPoint",
     "NaiveAbsoluteTimestampClient",
     "clock_fault_schedule",
+    "deploy",
     "run_one",
     "run",
     "export_clock_bench",
@@ -89,8 +78,6 @@ __all__ = [
 #: run_all passes ``--workers`` through to :func:`main`.
 PARALLEL_CAPABLE = True
 
-SERVICE = "search"
-METHOD = "process"
 REPLICAS = tuple(f"s-{i + 1}" for i in range(5))
 WINDOW_START, WINDOW_END = 500.0, 2500.0
 DEADLINE_MS = 100.0
@@ -228,60 +215,20 @@ def _health_config(variant: str) -> Optional[HealthConfig]:
     )
 
 
-def _build_stack(seed: int, variant: str):
-    sim = Simulator()
-    clocks = ClockRegistry(sim)
-    streams = RandomStreams(seed=seed)
-    profile = LinkProfile(
-        stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-    )
-    lan = LanModel(streams, default_profile=profile)
-    transport = Transport(sim, lan)
-    detector = FailureDetector(sim, lan, poll_interval_ms=10.0, confirm_polls=2)
-    group_comm = GroupCommunication(
-        sim, lan, transport, notify_delay_ms=1.0, failure_detector=detector
-    )
-    marshalling = MarshallingModel(base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0)
-    interface = make_interface(SERVICE, METHOD)
-
+def deploy(
+    seed: int, variant: str
+) -> Tuple[Deployment, TimingFaultClientHandler]:
+    """The A18 deployment running ``variant``, clock schedule armed."""
+    deployment = Deployment(seed)
     for host in REPLICAS:
-        lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(interface, METHOD),
-            profile=ServiceProfile(default=Constant(SERVICE_MS)),
-            streams=streams,
-        )
-        server = TimingFaultServerHandler(
-            sim=sim,
-            app=app,
-            transport=transport,
-            marshalling=marshalling,
-            clock=clocks.clock(host),
-        )
-        Gateway(host, sim, transport).load_handler(server)
-        group_comm.join(SERVICE, host, watch=True)
-
-    lan.add_host("client-1")
-    handler_cls = (
+        deployment.add_server(host, service_time=Constant(SERVICE_MS))
+    client, _stub = deployment.add_client(
+        "client-1",
+        QoSSpec(SERVICE, DEADLINE_MS, 0.9),
         NaiveAbsoluteTimestampClient
         if variant == "naive"
-        else TimingFaultClientHandler
-    )
-    kwargs = {}
-    health = _health_config(variant)
-    if health is not None:
-        kwargs["health_config"] = health
-    client = handler_cls(
-        sim=sim,
-        host="client-1",
-        transport=transport,
-        group_comm=group_comm,
-        interface=interface,
-        qos=QoSSpec(SERVICE, DEADLINE_MS, 0.9),
-        marshalling=marshalling,
-        selection_charge_ms=0.0,
-        rng=streams.stream("client-1.policy"),
+        else TimingFaultClientHandler,
+        rng=deployment.streams.stream("client-1.policy"),
         # fixed_overhead_ms pins the §5.3.3 deadline compensation: the
         # default measures the previous decision's wall-clock cost, and
         # letting host timing noise shift the effective deadline makes
@@ -303,16 +250,10 @@ def _build_stack(seed: int, variant: str):
         # the coherent stacks keep their pre-fault model of it.
         probe_staleness_ms=100.0,
         bootstrap_probes=True,
-        clock=clocks.clock("client-1"),
-        **kwargs,
+        health_config=_health_config(variant),
     )
-    Gateway("client-1", sim, transport).load_handler(client)
-    driver = ClockDriver(sim, clocks.clocks())
-    driver.apply(clock_fault_schedule())
-    orb = Orb()
-    orb.register_interface(interface)
-    orb.bind_interceptor(SERVICE, client)
-    return sim, client, orb.stub(SERVICE)
+    deployment.inject(clock_fault_schedule())
+    return deployment, client
 
 
 def run_one(
@@ -322,7 +263,8 @@ def run_one(
 ) -> Tuple[float, float, int, int]:
     """One run; returns (window timely, overall timely, clock
     quarantines, clock rejections)."""
-    sim, client, stub = _build_stack(seed, variant)
+    deployment, client = deploy(seed, variant)
+    sim = deployment.sim
     outcomes = []
     # Open-loop load: requests keep arriving whether or not earlier ones
     # returned, so a selection policy that funnels everything onto one
@@ -336,7 +278,7 @@ def run_one(
 
     def load():
         for i in range(num_requests):
-            event = stub.invoke(METHOD, i)
+            event = deployment.invoke("client-1", i)
             sim.spawn(waiter(sim.now, event), name=f"wait.{i}")
             yield sim.timeout(
                 float(arrival_rng.exponential(INTERARRIVAL_MS))

@@ -18,29 +18,16 @@ from __future__ import annotations
 import argparse
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.qos import QoSSpec
 from ..core.selection import DynamicSelectionPolicy
-from ..faultinject import DegradationFault, FaultSchedule, FaultyTransport
-from ..gateway.gateway import Gateway
-from ..gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
-)
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
+from ..deployment import SERVICE, Deployment
+from ..faultinject import DegradationFault, FaultSchedule
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig, HealthState
-from ..net.lan import LanModel, LinkProfile
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
-from ..sim.kernel import Simulator
 from ..rng import RNGManager
-from ..sim.random import Constant, RandomStreams
-from ..workload.scenarios import IntegerServant, make_interface
+from ..sim.random import Constant
 from .harness import average, print_table
 from .parallel import run_sweep
 
@@ -49,8 +36,6 @@ __all__ = ["DegradationPoint", "run_one", "run", "main"]
 #: run_all passes ``--workers`` through to :func:`main`.
 PARALLEL_CAPABLE = True
 
-SERVICE = "search"
-METHOD = "process"
 REPLICAS = tuple(f"s-{i + 1}" for i in range(5))
 WINDOW_START, WINDOW_END = 500.0, 2500.0
 
@@ -66,13 +51,9 @@ class DegradationPoint:
     runs: int
 
 
-def _build_stack(seed: int, fault_seed: int, with_health: bool):
-    sim = Simulator()
-    streams = RandomStreams(seed=seed)
-    profile = LinkProfile(
-        stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-    )
-    lan = LanModel(streams, default_profile=profile)
+def _deploy(
+    seed: int, fault_seed: int, with_health: bool
+) -> Tuple[Deployment, TimingFaultClientHandler]:
     schedule = FaultSchedule(
         degradations=(
             DegradationFault(
@@ -83,63 +64,33 @@ def _build_stack(seed: int, fault_seed: int, with_health: bool):
             ),
         )
     )
-    transport = FaultyTransport(
-        Transport(sim, lan),
-        schedule=schedule,
-        streams=RNGManager(fault_seed),
+    deployment = Deployment(
+        seed, schedule=schedule, wire=RNGManager(fault_seed)
     )
-    detector = FailureDetector(sim, lan, poll_interval_ms=10.0, confirm_polls=2)
-    group_comm = GroupCommunication(
-        sim, lan, transport, notify_delay_ms=1.0, failure_detector=detector
-    )
-    marshalling = MarshallingModel(base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0)
-    interface = make_interface(SERVICE, METHOD)
-
     for host in REPLICAS:
-        lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(interface, METHOD),
-            profile=ServiceProfile(default=Constant(8.0)),
-            streams=streams,
-        )
-        server = TimingFaultServerHandler(
-            sim=sim, app=app, transport=transport, marshalling=marshalling
-        )
-        Gateway(host, sim, transport).load_handler(server)
-        group_comm.join(SERVICE, host, watch=True)
-
-    lan.add_host("client-1")
-    kwargs = {}
-    if with_health:
-        kwargs["health_config"] = HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            probation_after=2,
-            backoff_initial_ms=400.0,
-            backoff_factor=2.0,
-            backoff_max_ms=3200.0,
-        )
-    client = TimingFaultClientHandler(
-        sim=sim,
-        host="client-1",
-        transport=transport,
-        group_comm=group_comm,
-        interface=interface,
-        qos=QoSSpec(SERVICE, 100.0, 0.9),
-        marshalling=marshalling,
-        selection_charge_ms=0.0,
-        rng=streams.stream("client-1.policy"),
-        policy=DynamicSelectionPolicy(crash_tolerance=0),
+        deployment.add_server(host, service_time=Constant(8.0))
+    health = HealthConfig(
+        suspect_after=2,
+        quarantine_after=1,
+        probation_after=2,
+        backoff_initial_ms=400.0,
+        backoff_factor=2.0,
+        backoff_max_ms=3200.0,
+    )
+    client, _stub = deployment.add_client(
+        "client-1",
+        QoSSpec(SERVICE, 100.0, 0.9),
+        rng=deployment.streams.stream("client-1.policy"),
+        # fixed_overhead_ms pins the §5.3.3 deadline compensation to a
+        # simulated constant instead of the previous decision's host CPU
+        # time, which would make the run depend on the host's speed.
+        policy=DynamicSelectionPolicy(crash_tolerance=0, fixed_overhead_ms=0.0),
         response_timeout_factor=3.0,
         probe_interval_ms=200.0,
-        **kwargs,
+        health_config=health if with_health else None,
     )
-    Gateway("client-1", sim, transport).load_handler(client)
-    orb = Orb()
-    orb.register_interface(interface)
-    orb.bind_interceptor(SERVICE, client)
-    return sim, client, orb.stub(SERVICE)
+    deployment.inject(schedule)
+    return deployment, client
 
 
 def run_one(
@@ -149,13 +100,14 @@ def run_one(
     num_requests: int = 150,
 ):
     """One run; returns (window fraction, overall fraction, transitions)."""
-    sim, client, stub = _build_stack(seed, fault_seed, with_health)
+    deployment, client = _deploy(seed, fault_seed, with_health)
+    sim = deployment.sim
     outcomes = []
 
     def load():
         for i in range(num_requests):
             t0 = sim.now
-            event = stub.invoke(METHOD, i)
+            event = deployment.invoke("client-1", i)
             yield event
             outcomes.append((t0, event.value))
             yield sim.timeout(5.0)

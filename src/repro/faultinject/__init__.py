@@ -1,6 +1,6 @@
 """Fault injection and lifecycle auditing for the request path.
 
-Three composable layers:
+Composable layers:
 
 * :mod:`~repro.faultinject.schedule` — declarative fault schedules
   (drops, delay spikes, duplicated/late replies, crash+restart, view
@@ -19,7 +19,10 @@ Three composable layers:
 * :mod:`~repro.faultinject.campaign` — the randomized chaos-campaign
   engine: composed schedules fanned over the parallel sweep runner,
   audited per scenario, with a delta-debugging shrinker that minimizes
-  failing schedules to a replayable reproducer.
+  failing schedules to a replayable reproducer.  It runs each scenario
+  on a :class:`~repro.deployment.Deployment`, which is built from the
+  layers above, so it is a layer above them too: import it from
+  ``repro.faultinject.campaign`` (the package does not re-export it).
 
 See docs/ARCHITECTURE.md ("Fault injection and lifecycle invariants").
 """
@@ -29,16 +32,6 @@ from .auditor import (
     LifecycleAuditor,
     LifecycleViolation,
     SubmissionRecord,
-)
-from .campaign import (
-    CampaignConfig,
-    CampaignResult,
-    ScheduleOutcome,
-    flatten_schedule,
-    rebuild_schedule,
-    run_campaign,
-    run_scenario,
-    shrink_schedule,
 )
 from .clock import CLOCK_FAULT_KINDS, ClockDriver, ClockFault
 from .drivers import LifecycleFaultDriver
@@ -65,8 +58,6 @@ from .transport import FaultyTransport
 __all__ = [
     "AuditReport",
     "CLOCK_FAULT_KINDS",
-    "CampaignConfig",
-    "CampaignResult",
     "ChurnFault",
     "ClockDriver",
     "ClockFault",
@@ -85,13 +76,7 @@ __all__ = [
     "PROBE_EXEMPT_KINDS",
     "PartitionDriver",
     "PartitionFault",
-    "ScheduleOutcome",
     "SubmissionRecord",
     "grey_partition",
-    "flatten_schedule",
     "random_fault_schedule",
-    "rebuild_schedule",
-    "run_campaign",
-    "run_scenario",
-    "shrink_schedule",
 ]

@@ -27,35 +27,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.qos import QoSSpec
-from ..gateway.gateway import Gateway
-from ..gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
-)
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
+from ..deployment import SERVICE, Deployment
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig
-from ..net.lan import LanModel, LinkProfile
 from ..net.message import reset_message_ids
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
 from ..rng import RNGManager, derive_entity_seed
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
-from ..sim.random import Constant, RandomStreams
-from .auditor import LifecycleAuditor
-from .clock import ClockDriver
-from .drivers import LifecycleFaultDriver
-from .overload import OverloadDriver
-from .partition import PartitionDriver
-from .schedule import FaultSchedule, random_fault_schedule
-from .transport import FaultyTransport
+from ..sim.random import Constant
+from .schedule import FAMILIES, FaultSchedule, random_fault_schedule
 
 __all__ = [
     "CampaignConfig",
@@ -69,23 +50,6 @@ __all__ = [
     "rebuild_schedule",
     "shrink_schedule",
 ]
-
-SERVICE = "search"
-METHOD = "process"
-
-#: Every schedule family ddmin shrinks over, in FaultSchedule order.
-_FAMILIES = (
-    "drops",
-    "delays",
-    "duplicates",
-    "crashes",
-    "churn",
-    "degradations",
-    "overloads",
-    "partitions",
-    "clocks",
-)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -251,166 +215,69 @@ class CampaignResult:
         return not self.failures
 
 
-class _ChaosStack:
-    """One scenario's deployment: mini AQuA stack + every fault driver."""
+#: The campaign clients' health subsystem: quick to quarantine, quick to
+#: probe back, and alert to unreachable and clock-incoherent replicas.
+_HEALTH = HealthConfig(
+    suspect_after=2,
+    quarantine_after=1,
+    recover_after=2,
+    probation_after=2,
+    backoff_initial_ms=200.0,
+    backoff_factor=2.0,
+    backoff_max_ms=1600.0,
+    unreachable_after=3,
+    clock_anomaly_after=3,
+)
 
-    def __init__(
-        self,
-        cfg: CampaignConfig,
-        schedule: FaultSchedule,
-        scenario_seed: int,
-        wire_seed: int,
-        handler_cls: type = TimingFaultClientHandler,
-    ) -> None:
-        # Imported here, not at module scope: workload.scenarios itself
-        # imports the auditor, and a module-level import would close an
-        # import cycle through the faultinject package __init__.
-        from ..workload.scenarios import IntegerServant, make_interface
 
-        self.cfg = cfg
-        self.sim = Simulator()
-        self.clock_registry = ClockRegistry(self.sim)
-        self.streams = RandomStreams(seed=scenario_seed)
-        profile = LinkProfile(
-            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
+def _deploy(
+    cfg: CampaignConfig,
+    index: int,
+    schedule: FaultSchedule,
+    handler_cls: Type[TimingFaultClientHandler],
+) -> Deployment:
+    """Scenario ``index``'s deployment with every fault family armed."""
+    deployment = Deployment(
+        cfg.scenario_seed(index),
+        vantage=cfg.client_hosts[0],
+        schedule=schedule,
+        wire=RNGManager(cfg.wire_seed(index)),
+    )
+    for host in cfg.replica_hosts:
+        deployment.add_server(host, service_time=Constant(cfg.service_ms))
+    for host in cfg.client_hosts:
+        deployment.add_client(
+            host,
+            QoSSpec(SERVICE, cfg.deadline_ms, cfg.min_probability),
+            handler_cls,
+            response_timeout_factor=3.0,
+            probe_interval_ms=50.0,
+            health_config=_HEALTH,
         )
-        self.lan = LanModel(self.streams, default_profile=profile)
-        self.transport = FaultyTransport(
-            Transport(self.sim, self.lan),
-            schedule=schedule,
-            streams=RNGManager(wire_seed),
-        )
-        detector = FailureDetector(
-            self.sim,
-            self.lan,
-            poll_interval_ms=10.0,
-            confirm_polls=2,
-            vantage=cfg.client_hosts[0],
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=1.0,
-            failure_detector=detector,
-        )
-        marshalling = MarshallingModel(
-            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
-        )
-        interface = make_interface(SERVICE, METHOD)
-        self.auditor = LifecycleAuditor()
-        self.auditor.set_schedule(schedule)
-        self.servers: Dict[str, TimingFaultServerHandler] = {}
-        for host in cfg.replica_hosts:
-            self.lan.add_host(host)
-            app = ReplicaApplication(
-                host=host,
-                servant=IntegerServant(interface, METHOD),
-                profile=ServiceProfile(default=Constant(cfg.service_ms)),
-                streams=self.streams,
-            )
-            server = TimingFaultServerHandler(
-                sim=self.sim,
-                app=app,
-                transport=self.transport,
-                marshalling=marshalling,
-                clock=self.clock_registry.clock(host),
-            )
-            Gateway(host, self.sim, self.transport).load_handler(server)
-            self.group_comm.join(SERVICE, host, watch=True)
-            self.servers[host] = server
-            self.auditor.watch_server(server)
-
-        health = HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            recover_after=2,
-            probation_after=2,
-            backoff_initial_ms=200.0,
-            backoff_factor=2.0,
-            backoff_max_ms=1600.0,
-            unreachable_after=3,
-            clock_anomaly_after=3,
-        )
-        self.stubs: Dict[str, Any] = {}
-        self.clients: Dict[str, TimingFaultClientHandler] = {}
-        for host in cfg.client_hosts:
-            self.lan.add_host(host)
-            client = handler_cls(
-                sim=self.sim,
-                host=host,
-                transport=self.transport,
-                group_comm=self.group_comm,
-                interface=interface,
-                qos=QoSSpec(SERVICE, cfg.deadline_ms, cfg.min_probability),
-                marshalling=marshalling,
-                selection_charge_ms=0.0,
-                rng=self.streams.stream(f"client.{host}.policy"),
-                response_timeout_factor=3.0,
-                probe_interval_ms=50.0,
-                health_config=health,
-                clock=self.clock_registry.clock(host),
-            )
-            Gateway(host, self.sim, self.transport).load_handler(client)
-            self.auditor.watch_client(client)
-            self.clients[host] = client
-            orb = Orb()
-            orb.register_interface(interface)
-            orb.bind_interceptor(SERVICE, client)
-            self.stubs[host] = orb.stub(SERVICE)
-
-        self.lifecycle_driver = LifecycleFaultDriver(
-            sim=self.sim,
-            lan=self.lan,
-            group_comm=self.group_comm,
-            service=SERVICE,
-            servers=self.servers,
-        )
-        self.partition_driver = PartitionDriver(
-            sim=self.sim,
-            lan=self.lan,
-            group_comm=self.group_comm,
-            service=SERVICE,
-            replicas=cfg.replica_hosts,
-        )
-        self.overload_driver = OverloadDriver(
-            sim=self.sim,
-            submitters={
-                host: (
-                    lambda arg, stub=self.stubs[host]: stub.invoke(METHOD, arg)
-                )
-                for host in cfg.client_hosts
-            },
-        )
-        self.clock_driver = ClockDriver(
-            sim=self.sim,
-            clocks=self.clock_registry.clocks(),
-            streams=RNGManager(derive_entity_seed(wire_seed, "chaos.clock", 0, 0)),
-        )
-        self.lifecycle_driver.apply(schedule)
-        self.partition_driver.apply(schedule)
-        self.overload_driver.apply(schedule)
-        self.clock_driver.apply(schedule)
+    deployment.inject(schedule)
+    return deployment
 
 
 def _closed_loop(
-    stack: _ChaosStack, host: str, outcomes: List[Tuple[float, Any]]
+    cfg: CampaignConfig,
+    deployment: Deployment,
+    host: str,
+    outcomes: List[Tuple[float, Any]],
 ) -> Any:
-    cfg = stack.cfg
-    stub = stack.stubs[host]
+    sim = deployment.sim
     for i in range(cfg.requests_per_client):
-        t0 = stack.sim.now
-        event = stub.invoke(METHOD, i)
+        t0 = sim.now
+        event = deployment.invoke(host, i)
         yield event
         if event.ok:
             outcomes.append((t0, event.value))
-        yield stack.sim.timeout(cfg.think_ms)
+        yield sim.timeout(cfg.think_ms)
 
 
 def run_scenario(
     cfg: CampaignConfig,
     index: int,
-    handler_cls: type = TimingFaultClientHandler,
+    handler_cls: Type[TimingFaultClientHandler] = TimingFaultClientHandler,
     schedule: Optional[FaultSchedule] = None,
 ) -> ScheduleOutcome:
     """Run scenario ``index`` of a campaign and audit it.
@@ -427,28 +294,23 @@ def run_scenario(
         schedule = draw_composed_schedule(cfg, index)
     digest = schedule_digest(schedule)
     replay = cfg.replay_line(index, digest)
-    stack = _ChaosStack(
-        cfg,
-        schedule,
-        scenario_seed=cfg.scenario_seed(index),
-        wire_seed=cfg.wire_seed(index),
-        handler_cls=handler_cls,
-    )
-    stack.auditor.set_replay(replay)
+    deployment = _deploy(cfg, index, schedule, handler_cls)
+    deployment.auditor.set_replay(replay)
+    sim = deployment.sim
     outcomes: List[Tuple[float, Any]] = []
     for host in cfg.client_hosts:
-        stack.sim.spawn(
-            _closed_loop(stack, host, outcomes), name=f"load.{host}"
+        sim.spawn(
+            _closed_loop(cfg, deployment, host, outcomes), name=f"load.{host}"
         )
-    stack.sim.run()
+    sim.run()
     # Let detector polls / re-admission probes settle past the horizon so
     # every fault window has healed before the audit, then expire probes
     # still in flight (staleness probing never stops, so an arbitrary
     # cutoff would otherwise race the daemon expiry timers).
-    stack.sim.run(until=max(stack.sim.now, cfg.horizon_ms * 2.0))
-    for host in cfg.client_hosts:
-        stack.clients[host].quiesce_probes()
-    report = stack.auditor.audit()
+    sim.run(until=max(sim.now, cfg.horizon_ms * 2.0))
+    for client in deployment.clients.values():
+        client.quiesce_probes()
+    report = deployment.auditor.audit()
 
     violations = list(report.violations)
     served = report.submitted - report.sheds
@@ -497,7 +359,7 @@ def _campaign_point(params: Any, seed: int, repetition: int) -> ScheduleOutcome:
 def run_campaign(
     cfg: CampaignConfig,
     workers: int = 1,
-    handler_cls: type = TimingFaultClientHandler,
+    handler_cls: Type[TimingFaultClientHandler] = TimingFaultClientHandler,
 ) -> CampaignResult:
     """Run the whole campaign, fanned across ``workers`` processes.
 
@@ -529,18 +391,18 @@ def run_campaign(
 def flatten_schedule(schedule: FaultSchedule) -> List[Tuple[str, Any]]:
     """The schedule as a flat ``(family, fault)`` list, family-ordered."""
     items: List[Tuple[str, Any]] = []
-    for family in _FAMILIES:
+    for family in FAMILIES:
         items.extend((family, fault) for fault in getattr(schedule, family))
     return items
 
 
 def rebuild_schedule(items: Sequence[Tuple[str, Any]]) -> FaultSchedule:
     """Reassemble a :class:`FaultSchedule` from ``flatten_schedule`` items."""
-    grouped: Dict[str, List[Any]] = {family: [] for family in _FAMILIES}
+    grouped: Dict[str, List[Any]] = {family: [] for family in FAMILIES}
     for family, fault in items:
         grouped[family].append(fault)
     return FaultSchedule(
-        **{family: tuple(grouped[family]) for family in _FAMILIES}
+        **{family: tuple(grouped[family]) for family in FAMILIES}
     )
 
 

@@ -23,12 +23,19 @@ interprets the message-level rules,
 ones and :class:`~repro.faultinject.partition.PartitionDriver` the
 connectivity cuts.  :func:`random_fault_schedule` draws a randomized schedule from a
 ``numpy`` generator — the workhorse of the ``tests/faults`` suite.
+
+Every family-wide operation (merging, counting, printing, the campaign's
+ddmin, drawing) follows :data:`FAMILIES`, the field order of
+:class:`FaultSchedule`.  A new family costs one field, one row in
+:func:`random_fault_schedule`'s draw table and one driver method armed
+by :meth:`repro.deployment.Deployment.inject`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +54,7 @@ __all__ = [
     "OverloadFault",
     "PartitionFault",
     "ClockFault",
+    "FAMILIES",
     "FaultSchedule",
     "random_fault_schedule",
 ]
@@ -261,49 +269,36 @@ class FaultSchedule:
     def merged(self, other: "FaultSchedule") -> "FaultSchedule":
         """Union of two schedules (composable scenarios)."""
         return FaultSchedule(
-            drops=self.drops + other.drops,
-            delays=self.delays + other.delays,
-            duplicates=self.duplicates + other.duplicates,
-            crashes=self.crashes + other.crashes,
-            churn=self.churn + other.churn,
-            degradations=self.degradations + other.degradations,
-            overloads=self.overloads + other.overloads,
-            partitions=self.partitions + other.partitions,
-            clocks=self.clocks + other.clocks,
+            **{
+                family: getattr(self, family) + getattr(other, family)
+                for family in FAMILIES
+            }
         )
 
     def __len__(self) -> int:
-        return (
-            len(self.drops)
-            + len(self.delays)
-            + len(self.duplicates)
-            + len(self.crashes)
-            + len(self.churn)
-            + len(self.degradations)
-            + len(self.overloads)
-            + len(self.partitions)
-            + len(self.clocks)
-        )
+        return sum(len(getattr(self, family)) for family in FAMILIES)
 
     def __repr__(self) -> str:
         # Hand-rolled to stay byte-identical with the pre-partition
-        # dataclass repr when the partition family is empty: the frozen
-        # legacy schedule digests (tests/faults/test_schedule_streams.py)
-        # are sha256 over this repr.
+        # dataclass repr: the seven original families always print, later
+        # ones only when non-empty.  The frozen legacy schedule digests
+        # (tests/faults/test_schedule_streams.py) and the campaign's
+        # schedule digests are sha256 over this repr.
         fields = [
-            f"drops={self.drops!r}",
-            f"delays={self.delays!r}",
-            f"duplicates={self.duplicates!r}",
-            f"crashes={self.crashes!r}",
-            f"churn={self.churn!r}",
-            f"degradations={self.degradations!r}",
-            f"overloads={self.overloads!r}",
+            f"{family}={getattr(self, family)!r}"
+            for index, family in enumerate(FAMILIES)
+            if index < _ALWAYS_PRINTED or getattr(self, family)
         ]
-        if self.partitions:
-            fields.append(f"partitions={self.partitions!r}")
-        if self.clocks:
-            fields.append(f"clocks={self.clocks!r}")
         return f"FaultSchedule({', '.join(fields)})"
+
+
+#: Every fault family, in :class:`FaultSchedule` field order — the one
+#: list that merging, counting, printing, flattening (the campaign's
+#: ddmin) and drawing all follow.
+FAMILIES: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(FaultSchedule))
+
+#: Families that predate partitions; ``repr`` prints them even when empty.
+_ALWAYS_PRINTED = FAMILIES.index("partitions")
 
 
 def _draw_window(
@@ -455,248 +450,112 @@ def random_fault_schedule(
       entirely new fault family, never perturbs the windows other
       families draw (docs/REPRODUCIBILITY.md);
     * a plain :class:`numpy.random.Generator` reproduces the **legacy
-      sequential path** bit-for-bit: families draw in fixed order from
-      the single generator, with ``degradations`` and then
-      ``overload_windows`` drawn last so historic schedules with the
+      sequential path** bit-for-bit: families draw in table order from
+      the single generator.  Later families (degradations, overloads,
+      partitions, clocks) are later rows, so historic schedules with the
       default counts stay byte-identical for a given seed.  This path is
-      frozen — new fault families must draw via the manager discipline,
-      and the legacy order is pinned by a regression test.
+      frozen — new call sites must use the manager discipline, and the
+      legacy order is pinned by a regression test.
+
+    Both disciplines run the same draw code: one table row per family.
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon_ms must be > 0, got {horizon_ms}")
     if not replicas:
         raise ValueError("need at least one replica to inject faults into")
 
-    if isinstance(rng, RNGManager):
-        # Named-substream discipline: one independent generator per
-        # (family, window index) key; draw order is irrelevant.
-        drops = []
-        for i in range(drop_windows):
-            g = rng.substream("faults.drops", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            drops.append(
-                DropRule(
-                    start_ms=start, end_ms=end, probability=drop_probability
-                )
-            )
-        delays = []
-        for i in range(delay_windows):
-            g = rng.substream("faults.delays", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            delays.append(
-                DelayRule(
-                    start_ms=start,
-                    end_ms=end,
-                    extra_ms=g.uniform(1.0, max_extra_ms),
-                )
-            )
-        duplicates = []
-        for i in range(duplicate_windows):
-            g = rng.substream("faults.duplicates", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            duplicates.append(
-                DuplicateRule(
-                    start_ms=start,
-                    end_ms=end,
-                    probability=duplicate_probability,
-                    copies=int(g.integers(1, 3)),
-                    late_by_ms=g.uniform(0.0, max_late_by_ms),
-                )
-            )
-        crashes = []
-        for i in range(crash_restarts):
-            g = rng.substream("faults.crashes", i)
-            host, crash_at, restart_at = _draw_host_window(
-                g, replicas, horizon_ms
-            )
-            crashes.append(
-                CrashRestartFault(
-                    host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
-                )
-            )
-        churn = []
-        for i in range(churn_events):
-            g = rng.substream("faults.churn", i)
-            member, leave_at, rejoin_at = _draw_host_window(
-                g, replicas, horizon_ms
-            )
-            churn.append(
-                ChurnFault(
-                    member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
-                )
-            )
-        degraded = []
-        for i in range(degradations):
-            g = rng.substream("faults.degradations", i)
-            host = str(g.choice(list(replicas)))
-            start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-            degraded.append(
-                DegradationFault(
-                    host=host,
-                    start_ms=start,
-                    end_ms=end,
-                    slow_factor=float(g.uniform(1.5, max_slow_factor)),
-                    omission_probability=degradation_omission_probability,
-                )
-            )
-        overloads = []
-        for i in range(overload_windows):
-            g = rng.substream("faults.overloads", i)
-            start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-            overloads.append(
-                OverloadFault(
-                    start_ms=start,
-                    end_ms=end,
-                    surge_interarrival_ms=surge_interarrival_ms,
-                )
-            )
-        partitions = []
-        for i in range(partition_windows):
-            g = rng.substream("faults.partition", i)
-            partitions.append(
-                _draw_partition(
-                    g,
-                    replicas,
-                    horizon_ms,
-                    window_fraction,
-                    partition_flap_probability,
-                    partition_grey_probability,
-                )
-            )
-        clocks = []
-        for i in range(clock_windows):
-            g = rng.substream("faults.clock", i)
-            clocks.append(
-                _draw_clock_fault(
-                    g,
-                    replicas,
-                    horizon_ms,
-                    window_fraction,
-                    max_clock_skew_ms,
-                    max_clock_drift_ppm,
-                )
-            )
-        return FaultSchedule(
-            drops=tuple(drops),
-            delays=tuple(delays),
-            duplicates=tuple(duplicates),
-            crashes=tuple(crashes),
-            churn=tuple(churn),
-            degradations=tuple(degraded),
-            overloads=tuple(overloads),
-            partitions=tuple(partitions),
-            clocks=tuple(clocks),
+    def drop(g: np.random.Generator) -> DropRule:
+        start, end = _draw_window(g, horizon_ms, window_fraction)
+        return DropRule(start_ms=start, end_ms=end, probability=drop_probability)
+
+    def delay(g: np.random.Generator) -> DelayRule:
+        start, end = _draw_window(g, horizon_ms, window_fraction)
+        return DelayRule(
+            start_ms=start, end_ms=end, extra_ms=g.uniform(1.0, max_extra_ms)
         )
 
-    # Legacy sequential path: one generator, fixed family order.  Frozen;
-    # pinned bit-for-bit by tests/faults/test_schedule_streams.py.
-    drops = []
-    for _ in range(drop_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
-        drops.append(
-            DropRule(start_ms=start, end_ms=end, probability=drop_probability)
+    def duplicate(g: np.random.Generator) -> DuplicateRule:
+        start, end = _draw_window(g, horizon_ms, window_fraction)
+        return DuplicateRule(
+            start_ms=start,
+            end_ms=end,
+            probability=duplicate_probability,
+            copies=int(g.integers(1, 3)),
+            late_by_ms=g.uniform(0.0, max_late_by_ms),
         )
-    delays = []
-    for _ in range(delay_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
-        delays.append(
-            DelayRule(
-                start_ms=start,
-                end_ms=end,
-                extra_ms=rng.uniform(1.0, max_extra_ms),
-            )
+
+    def crash(g: np.random.Generator) -> CrashRestartFault:
+        host, crash_at, restart_at = _draw_host_window(g, replicas, horizon_ms)
+        return CrashRestartFault(
+            host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
         )
-    duplicates = []
-    for _ in range(duplicate_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
-        duplicates.append(
-            DuplicateRule(
-                start_ms=start,
-                end_ms=end,
-                probability=duplicate_probability,
-                copies=int(rng.integers(1, 3)),
-                late_by_ms=rng.uniform(0.0, max_late_by_ms),
-            )
+
+    def churn(g: np.random.Generator) -> ChurnFault:
+        member, leave_at, rejoin_at = _draw_host_window(g, replicas, horizon_ms)
+        return ChurnFault(
+            member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
         )
-    crashes = []
-    for _ in range(crash_restarts):
-        host, crash_at, restart_at = _draw_host_window(
-            rng, replicas, horizon_ms
+
+    def degradation(g: np.random.Generator) -> DegradationFault:
+        host = str(g.choice(list(replicas)))
+        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
+        return DegradationFault(
+            host=host,
+            start_ms=start,
+            end_ms=end,
+            slow_factor=float(g.uniform(1.5, max_slow_factor)),
+            omission_probability=degradation_omission_probability,
         )
-        crashes.append(
-            CrashRestartFault(
-                host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
-            )
+
+    def overload(g: np.random.Generator) -> OverloadFault:
+        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
+        return OverloadFault(
+            start_ms=start,
+            end_ms=end,
+            surge_interarrival_ms=surge_interarrival_ms,
         )
-    churn = []
-    for _ in range(churn_events):
-        member, leave_at, rejoin_at = _draw_host_window(
-            rng, replicas, horizon_ms
+
+    def partition(g: np.random.Generator) -> PartitionFault:
+        return _draw_partition(
+            g,
+            replicas,
+            horizon_ms,
+            window_fraction,
+            partition_flap_probability,
+            partition_grey_probability,
         )
-        churn.append(
-            ChurnFault(member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at)
+
+    def clock(g: np.random.Generator) -> ClockFault:
+        return _draw_clock_fault(
+            g,
+            replicas,
+            horizon_ms,
+            window_fraction,
+            max_clock_skew_ms,
+            max_clock_drift_ppm,
         )
-    degraded = []
-    # Drawn last so degradations=0 reproduces historic schedules exactly.
-    for _ in range(degradations):
-        host = str(rng.choice(list(replicas)))
-        start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
-        degraded.append(
-            DegradationFault(
-                host=host,
-                start_ms=start,
-                end_ms=end,
-                slow_factor=float(rng.uniform(1.5, max_slow_factor)),
-                omission_probability=degradation_omission_probability,
-            )
-        )
-    overloads = []
-    # Also drawn last, after degradations, for the same determinism.
-    for _ in range(overload_windows):
-        start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
-        overloads.append(
-            OverloadFault(
-                start_ms=start,
-                end_ms=end,
-                surge_interarrival_ms=surge_interarrival_ms,
-            )
-        )
-    partitions = []
-    # Appended after every earlier family so partition_windows=0 keeps
-    # historic schedules byte-identical.
-    for _ in range(partition_windows):
-        partitions.append(
-            _draw_partition(
-                rng,
-                replicas,
-                horizon_ms,
-                window_fraction,
-                partition_flap_probability,
-                partition_grey_probability,
-            )
-        )
-    clocks = []
-    # Newest family, appended after *everything* (partitions included)
-    # so clock_windows=0 keeps historic schedules byte-identical.
-    for _ in range(clock_windows):
-        clocks.append(
-            _draw_clock_fault(
-                rng,
-                replicas,
-                horizon_ms,
-                window_fraction,
-                max_clock_skew_ms,
-                max_clock_drift_ppm,
-            )
-        )
-    return FaultSchedule(
-        drops=tuple(drops),
-        delays=tuple(delays),
-        duplicates=tuple(duplicates),
-        crashes=tuple(crashes),
-        churn=tuple(churn),
-        degradations=tuple(degraded),
-        overloads=tuple(overloads),
-        partitions=tuple(partitions),
-        clocks=tuple(clocks),
+
+    # (family, substream name, window count, draw), in FAMILIES order —
+    # which is also the frozen legacy draw order, so a new family goes in
+    # as the last row and leaves every historic schedule untouched.
+    table: Tuple[Tuple[str, str, int, Callable[[np.random.Generator], Any]], ...] = (
+        ("drops", "faults.drops", drop_windows, drop),
+        ("delays", "faults.delays", delay_windows, delay),
+        ("duplicates", "faults.duplicates", duplicate_windows, duplicate),
+        ("crashes", "faults.crashes", crash_restarts, crash),
+        ("churn", "faults.churn", churn_events, churn),
+        ("degradations", "faults.degradations", degradations, degradation),
+        ("overloads", "faults.overloads", overload_windows, overload),
+        ("partitions", "faults.partition", partition_windows, partition),
+        ("clocks", "faults.clock", clock_windows, clock),
     )
+    drawn: Dict[str, Tuple[Any, ...]] = {}
+    for family, stream, count, draw in table:
+        faults: List[Any] = []
+        for i in range(count):
+            # Streamed: one independent generator per (family, window)
+            # key.  Legacy: the one shared generator, in table order.
+            g = rng.substream(stream, i) if isinstance(rng, RNGManager) else rng
+            faults.append(draw(g))
+        drawn[family] = tuple(faults)
+    return FaultSchedule(**drawn)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.lan import LanModel
-from ..net.transport import Transport
+from ..net.transport import TransportAPI
 from ..sim.kernel import Simulator
 from ..sim.trace import NullTracer, Tracer
 from .failure_detector import FailureDetector
@@ -45,7 +45,7 @@ class GroupCommunication:
         self,
         sim: Simulator,
         lan: LanModel,
-        transport: Transport,
+        transport: TransportAPI,
         notify_delay_ms: float = 1.0,
         failure_detector: Optional[FailureDetector] = None,
         tracer: Optional[Tracer] = None,

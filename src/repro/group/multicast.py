@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..net.message import Message
-from ..net.transport import Transport
+from ..net.transport import TransportAPI
 from .membership import Group, MembershipError
 
 __all__ = ["MulticastGroup"]
@@ -23,7 +23,7 @@ __all__ = ["MulticastGroup"]
 class MulticastGroup:
     """Send-to-subset multicast bound to one group and one transport."""
 
-    def __init__(self, group: Group, transport: Transport) -> None:
+    def __init__(self, group: Group, transport: TransportAPI) -> None:
         self.group = group
         self.transport = transport
 

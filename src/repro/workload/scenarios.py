@@ -1,8 +1,9 @@
 """Scenario builder: assemble the full AQuA stack in a few lines.
 
-A :class:`Scenario` wires kernel, LAN, transport, group communication,
-ORB, Proteus manager, replicas and clients together with one shared seed,
-so experiments and examples only describe *what* varies.  All randomness
+A :class:`Scenario` puts a Proteus manager, its replicas and workload
+clients on a :class:`~repro.deployment.Deployment` (kernel, LAN,
+transport, group communication, ORB) with one shared seed, so
+experiments and examples only describe *what* varies.  All randomness
 flows through one named-stream :class:`~repro.sim.random.RandomStreams`
 manager (the ``repro.rng`` discipline, docs/REPRODUCIBILITY.md), so a
 scenario is replayable from ``config.seed`` alone and adding a component
@@ -19,63 +20,23 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.qos import QoSSpec
 from ..core.selection import SelectionPolicy
-from ..faultinject.auditor import AuditReport, LifecycleAuditor
+from ..deployment import Deployment, IntegerServant, make_interface
+from ..faultinject.auditor import AuditReport
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
 from ..health import HealthConfig
 from ..metrics.collector import MetricsCollector
-from ..net.lan import LanModel, LinkProfile, bursty_jitter
-from ..net.transport import Transport
+from ..net.lan import LinkProfile, bursty_jitter
 from ..orb.iiop import MarshallingModel
 from ..overload import OverloadConfig
-from ..orb.object import MethodSignature, Servant, ServiceInterface
-from ..orb.orb import Orb
+from ..orb.object import MethodSignature
 from ..proteus.manager import DependabilityManager, ServiceSpec
 from ..replica.faults import CrashSchedule, FaultInjector
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
-from ..sim.random import Constant, Distribution, Normal, RandomStreams
+from ..sim.random import Constant, Distribution, Normal
 from ..sim.trace import NullTracer, Tracer
 from .client import ClosedLoopClient, OpenLoopClient
 
 __all__ = ["IntegerServant", "ScenarioConfig", "Scenario", "make_interface"]
-
-
-def make_interface(
-    service: str = "search",
-    method: str = "process",
-    request_bytes: int = 64,
-    reply_bytes: int = 64,
-) -> ServiceInterface:
-    """A single-method interface, as the paper assumes (§8: one method)."""
-    interface = ServiceInterface(service)
-    interface.add_method(
-        MethodSignature(
-            name=method, request_bytes=request_bytes, reply_bytes=reply_bytes
-        )
-    )
-    return interface
-
-
-class IntegerServant(Servant):
-    """Replies with integer data, like the paper's test servers (§6).
-
-    Accepts every method on its interface (the reply value is the echoed
-    request index either way); the *duration* differences between methods
-    live in the replica's :class:`ServiceProfile`.
-    """
-
-    def __init__(self, interface: ServiceInterface, method: str = "process"):
-        super().__init__(interface)
-        self._method = method
-
-    def dispatch(self, method: str, args) -> int:
-        if method not in self.interface:
-            raise KeyError(f"unknown method {method!r}")
-        index = args[0] if args else 0
-        return int(index)
 
 
 @dataclass
@@ -103,9 +64,7 @@ class ScenarioConfig:
     loss_probability: float = 0.0
     # Optional LAN-wide correlated congestion (breaks Eq. 1 independence).
     shared_congestion: Optional[Distribution] = None
-    notify_delay_ms: float = 1.0
     fd_poll_interval_ms: float = 50.0
-    fd_confirm_polls: int = 2
     response_timeout_factor: float = 10.0
     trace: bool = False
     keep_samples: bool = True
@@ -138,40 +97,8 @@ class Scenario:
         self.config = config or ScenarioConfig()
         cfg = self.config
 
-        self.sim = Simulator()
-        # One virtual clock per host; handlers stamp on their own host's
-        # clock so the clock-fault plane can de-synchronize them.
-        self.clocks = ClockRegistry(self.sim)
-        self.streams = RandomStreams(seed=cfg.seed)
         self.tracer = Tracer() if cfg.trace else NullTracer()
         self.metrics = MetricsCollector(keep_samples=cfg.keep_samples)
-
-        profile = LinkProfile(
-            jitter=bursty_jitter() if cfg.bursty_network else Normal(0.3, 0.15),
-            loss_probability=cfg.loss_probability,
-        )
-        self.lan = LanModel(
-            self.streams,
-            default_profile=profile,
-            shared_congestion=cfg.shared_congestion,
-        )
-        self.transport = Transport(self.sim, self.lan, tracer=self.tracer)
-        detector = FailureDetector(
-            self.sim,
-            self.lan,
-            poll_interval_ms=cfg.fd_poll_interval_ms,
-            confirm_polls=cfg.fd_confirm_polls,
-            tracer=self.tracer,
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=cfg.notify_delay_ms,
-            failure_detector=detector,
-            tracer=self.tracer,
-        )
-        self.marshalling = MarshallingModel()
         self.interface = make_interface(
             cfg.service, cfg.method, cfg.request_bytes, cfg.reply_bytes
         )
@@ -183,6 +110,25 @@ class Scenario:
                     reply_bytes=cfg.reply_bytes,
                 )
             )
+        self.deployment = Deployment(
+            cfg.seed,
+            link=LinkProfile(
+                jitter=bursty_jitter() if cfg.bursty_network else Normal(0.3, 0.15),
+                loss_probability=cfg.loss_probability,
+            ),
+            shared_congestion=cfg.shared_congestion,
+            poll_interval_ms=cfg.fd_poll_interval_ms,
+            marshalling=MarshallingModel(),
+            interface=self.interface,
+            tracer=self.tracer,
+        )
+        d = self.deployment
+        self.sim, self.clocks, self.streams = d.sim, d.clocks, d.streams
+        self.lan, self.transport, self.group_comm = d.lan, d.transport, d.group_comm
+        self.marshalling = d.marshalling
+        # Tracks every client submission so experiments can assert the
+        # request-lifecycle invariants after the run (see audit_lifecycle).
+        self.auditor = d.auditor
 
         self.manager = DependabilityManager(
             self.sim,
@@ -210,9 +156,6 @@ class Scenario:
         self.clients: Dict[str, ClosedLoopClient] = {}
         self.open_clients: Dict[str, OpenLoopClient] = {}
         self.handlers: Dict[str, TimingFaultClientHandler] = {}
-        # Tracks every client submission so experiments can assert the
-        # request-lifecycle invariants after the run (see audit_lifecycle).
-        self.auditor = LifecycleAuditor()
 
     # -- replica profiles ------------------------------------------------------
     def _profile_for(self, host: str) -> ServiceProfile:
@@ -252,13 +195,13 @@ class Scenario:
         (e.g. ``classifier=``, ``probe_staleness_ms=``,
         ``gateway_window_size=`` for the §8 extensions).
         """
-        handler, orb = self._make_handler(
+        handler, stub = self._make_handler(
             name, qos, policy, handler_cls, window_size, violation_callback,
             handler_kwargs or {},
         )
         client = ClosedLoopClient(
             sim=self.sim,
-            stub=orb.stub(self.config.service),
+            stub=stub,
             host=name,
             streams=self.streams,
             method=self.config.method,
@@ -280,12 +223,12 @@ class Scenario:
         window_size: Optional[int] = None,
     ) -> OpenLoopClient:
         """Add an open-loop client firing on ``interarrival`` gaps."""
-        handler, orb = self._make_handler(
+        handler, stub = self._make_handler(
             name, qos, policy, TimingFaultClientHandler, window_size, None, {}
         )
         client = OpenLoopClient(
             sim=self.sim,
-            stub=orb.stub(self.config.service),
+            stub=stub,
             host=name,
             streams=self.streams,
             interarrival=interarrival,
@@ -301,12 +244,6 @@ class Scenario:
         handler_kwargs,
     ):
         cfg = self.config
-        if qos.service != cfg.service:
-            raise ValueError(
-                f"QoS is for service {qos.service!r}, scenario runs {cfg.service!r}"
-            )
-        self.lan.add_host(name)
-        gateway = self.manager.gateway_for(name)
         handler_kwargs = dict(handler_kwargs)
         if cfg.health_config is not None:
             handler_kwargs.setdefault("health_config", cfg.health_config)
@@ -315,35 +252,21 @@ class Scenario:
             )
         if cfg.overload_config is not None:
             handler_kwargs.setdefault("overload_config", cfg.overload_config)
-        handler_kwargs.setdefault("clock", self.clocks.clock(name))
-        handler = handler_cls(
-            sim=self.sim,
-            host=name,
-            transport=self.transport,
-            group_comm=self.group_comm,
-            interface=self.interface,
-            qos=qos,
+        return self.deployment.add_client(
+            name,
+            qos,
+            handler_cls,
+            gateway_for=self.manager.gateway_for,
             policy=policy,
             window_size=window_size if window_size is not None else cfg.window_size,
             bin_width_ms=cfg.bin_width_ms,
-            marshalling=self.marshalling,
             selection_charge_ms=cfg.selection_charge_ms,
             response_timeout_factor=cfg.response_timeout_factor,
             violation_callback=violation_callback,
-            rng=self.streams.stream(f"client.{name}.policy"),
             distance=lambda replica: self.lan.zone_distance(name, replica),
-            tracer=self.tracer,
             metrics=self.metrics,
             **handler_kwargs,
         )
-        gateway.load_handler(handler)
-        self.auditor.watch_client(handler)
-        # Each client process gets its own ORB, like separate CORBA
-        # applications on separate hosts.
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(cfg.service, handler)
-        return handler, orb
 
     # -- faults -----------------------------------------------------------
     def schedule_crash(
@@ -360,28 +283,21 @@ class Scenario:
     def run_to_completion(self, limit_ms: float = 10_000_000.0) -> None:
         """Run until every client finished (bounded by ``limit_ms``)."""
         self.sim.run()
-        unfinished = [
-            c.host
-            for c in list(self.clients.values()) + list(self.open_clients.values())
-            if not c.done
-        ]
-        if unfinished and self.sim.now < limit_ms:
-            # Live events drained while clients still wait (e.g. replies
-            # lost to a crash): let daemon activity (failure detection)
-            # unblock them, then continue.
-            while unfinished and self.sim.now < limit_ms:
-                self.sim.run(until=min(limit_ms, self.sim.now + 1000.0))
-                self.sim.run()
-                unfinished = [
-                    c.host
-                    for c in list(self.clients.values())
-                    + list(self.open_clients.values())
-                    if not c.done
-                ]
+        # Live events drained while clients still wait (e.g. replies lost
+        # to a crash): let daemon activity (failure detection) unblock
+        # them, then continue.
+        while self._unfinished() and self.sim.now < limit_ms:
+            self.sim.run(until=min(limit_ms, self.sim.now + 1000.0))
+            self.sim.run()
+        unfinished = self._unfinished()
         if unfinished:
             raise RuntimeError(
                 f"clients {unfinished} did not finish before {limit_ms} ms"
             )
+
+    def _unfinished(self) -> List[str]:
+        clients = list(self.clients.values()) + list(self.open_clients.values())
+        return [c.host for c in clients if not c.done]
 
     # -- lifecycle auditing ------------------------------------------------
     def audit_lifecycle(self) -> AuditReport:

@@ -49,6 +49,17 @@ class TestA18Shape:
 
 
 class TestA18Determinism:
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            ("naive", (0.4244604316546763, 0.6733333333333333, 0, 10)),
+            ("same-clock", (0.7338129496402878, 0.8166666666666667, 0, 9)),
+            ("tolerant", (0.9496402877697842, 0.9366666666666666, 2, 13)),
+        ],
+    )
+    def test_run_one_outcomes_are_pinned(self, variant, expected):
+        assert clock_faults.run_one(variant, 0, num_requests=300) == expected
+
     def test_run_one_is_bit_identical(self):
         assert clock_faults.run_one("tolerant", 0) == clock_faults.run_one(
             "tolerant", 0
@@ -68,7 +79,8 @@ class TestA18QuarantineTargets:
         # streak — it is allowed either way, being genuinely faulted.
         from repro.sim.random import RandomStreams
 
-        sim, client, stub = clock_faults._build_stack(0, "tolerant")
+        deployment, client = clock_faults.deploy(0, "tolerant")
+        sim = deployment.sim
         arrival = RandomStreams(seed=0).stream("a18.arrivals")
 
         def waiter(event):
@@ -76,7 +88,7 @@ class TestA18QuarantineTargets:
 
         def load():
             for i in range(900):
-                event = stub.invoke(clock_faults.METHOD, i)
+                event = deployment.invoke("client-1", i)
                 sim.spawn(waiter(event), name=f"wait.{i}")
                 yield sim.timeout(
                     float(arrival.exponential(clock_faults.INTERARRIVAL_MS))

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import (
     LifecycleViolation,
     SubmissionRecord,
 )
+from repro.faultinject import FaultSchedule
 from repro.gateway.handlers.timing_fault import ReplyOutcome
-
-from .conftest import FaultStack
 
 
 def _outcome(timed_out, replica):
@@ -24,10 +25,10 @@ def _outcome(timed_out, replica):
 
 
 def test_clean_run_audits_clean():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
     stack.add_server("s-2")
-    stack.add_client("c-1")
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     for i in range(3):
         stack.invoke("c-1", i)
     stack.sim.run()
@@ -40,10 +41,10 @@ def test_clean_run_audits_clean():
 
 
 def test_timeout_counts_as_completion():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    client = stack.add_client("c-1", response_timeout_factor=2.0)
-    driver = stack.make_driver()
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0), response_timeout_factor=2.0)
+    driver = stack.lifecycle
     driver.crash_now("s-1")  # down before the request hits the wire
     event = stack.invoke("c-1")
     stack.sim.run()
@@ -55,9 +56,9 @@ def test_timeout_counts_as_completion():
 
 
 def test_leaked_pending_entry_is_reported():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    client = stack.add_client("c-1")
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.invoke("c-1")
     stack.sim.run()
     client._pending[999] = None  # seed a leak behind the handler's back
@@ -69,9 +70,9 @@ def test_leaked_pending_entry_is_reported():
 
 
 def test_leaked_probe_entry_is_reported():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    client = stack.add_client("c-1")
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.invoke("c-1")
     stack.sim.run()
     client._probes_in_flight[123] = 0.0
@@ -80,9 +81,9 @@ def test_leaked_probe_entry_is_reported():
 
 
 def test_resurrected_replica_is_reported():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    client = stack.add_client("c-1")
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.invoke("c-1")
     stack.sim.run()
     # The repository still models s-1 but the view no longer has it.
@@ -92,18 +93,18 @@ def test_resurrected_replica_is_reported():
 
 
 def test_unfinished_request_is_a_leak():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    stack.add_client("c-1")
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.invoke("c-1")  # never run the simulation: the event cannot fire
     report = stack.auditor.audit()
     assert any("never completed" in v for v in report.violations)
 
 
 def test_double_completion_is_a_violation():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    stack.add_client("c-1")
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.invoke("c-1")
     stack.sim.run()
     record = stack.auditor.records[0]
@@ -113,7 +114,7 @@ def test_double_completion_is_a_violation():
 
 
 def test_reply_xor_timeout_violations():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     for timed_out, replica in ((True, "r1"), (False, None)):
         event = stack.sim.event()
         outcome = _outcome(timed_out, replica)
@@ -134,9 +135,9 @@ def test_reply_xor_timeout_violations():
 
 
 def test_watch_client_is_idempotent():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
-    client = stack.add_client("c-1")
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.auditor.watch_client(client)  # second watch must not double-wrap
     stack.invoke("c-1")
     stack.sim.run()

@@ -16,10 +16,12 @@ Four contracts:
   shrunk to a handful of fault windows.
 """
 
+import dataclasses
 from typing import Optional
 
 import pytest
 
+from repro.experiments import chaos_campaign
 from repro.faultinject.campaign import (
     CampaignConfig,
     draw_composed_schedule,
@@ -35,9 +37,10 @@ from repro.faultinject.schedule import (
     DropRule,
     FaultSchedule,
     PartitionFault,
+    random_fault_schedule,
 )
-from repro.experiments import chaos_campaign
 from repro.gateway.handlers.timing_fault import TimingFaultClientHandler
+from repro.rng import RNGManager
 
 #: Small-but-composed campaign used across the tests (seconds, not
 #: minutes; the full 200-schedule campaign is experiment A17).
@@ -47,6 +50,12 @@ SMALL = CampaignConfig(schedules=8, base_seed=0)
 #: historic campaign digests are untouched; composing clock windows into
 #: the mix is ISSUE 10's chaos acceptance surface.
 CLOCKED = CampaignConfig(schedules=8, base_seed=0, max_clock_windows=2)
+
+#: ``run_campaign(...).digest`` of SMALL and CLOCKED.  A refactor that
+#: changes outcomes the same way on every run passes a repeat-equality
+#: check; it cannot pass these literals.
+SMALL_DIGEST = "f424ab0b8066fc3ea9b0809dee80f2dbc8a2a1ecc34b443c852574bf1f761916"
+CLOCKED_DIGEST = "ccd5e69aec77deffe72abfb7558f6c8d4dd643c19051eeedf6dcb1b67cc8826a"
 
 
 class LeakyTimeoutClient(TimingFaultClientHandler):
@@ -208,6 +217,36 @@ class TestComposedSchedules:
         schedule = draw_composed_schedule(SMALL, index)
         assert rebuild_schedule(flatten_schedule(schedule)) == schedule
 
+    def test_every_family_is_flattened_counted_merged_and_printed(self):
+        # One window in every FaultSchedule field: a family missing from
+        # the shared family list would be dropped by ddmin, miscounted,
+        # lost by merging or left out of the schedule digest.
+        schedule = random_fault_schedule(
+            RNGManager(3),
+            horizon_ms=SMALL.horizon_ms,
+            replicas=SMALL.replica_hosts,
+            drop_windows=1,
+            delay_windows=1,
+            duplicate_windows=1,
+            crash_restarts=1,
+            churn_events=1,
+            degradations=1,
+            overload_windows=1,
+            partition_windows=1,
+            clock_windows=1,
+        )
+        families = [f.name for f in dataclasses.fields(FaultSchedule)]
+        for family in families:
+            assert len(getattr(schedule, family)) == 1, family
+        assert rebuild_schedule(flatten_schedule(schedule)) == schedule
+        assert len(schedule) == len(families)
+        doubled = schedule.merged(schedule)
+        for family in families:
+            assert getattr(doubled, family) == getattr(schedule, family) * 2
+        text = repr(schedule)
+        for family in families:
+            assert f"{family}=" in text, family
+
 
 class TestScenarioRuns:
     def test_scenario_is_deterministic(self):
@@ -235,6 +274,12 @@ class TestCampaign:
         assert [o.index for o in one.outcomes] == list(range(SMALL.schedules))
         again = run_campaign(SMALL, workers=1)
         assert again.digest == one.digest
+
+    def test_small_campaign_digest_is_pinned(self):
+        assert run_campaign(SMALL).digest == SMALL_DIGEST
+
+    def test_clocked_campaign_digest_is_pinned(self):
+        assert run_campaign(CLOCKED).digest == CLOCKED_DIGEST
 
     def test_digest_is_worker_count_invariant(self):
         # The acceptance contract: 1-vs-N worker bit-identical merge.

@@ -16,12 +16,12 @@ Covers the three layers of ISSUE 10's clock plane:
 import numpy as np
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import ClockDriver, ClockFault, FaultSchedule, SubmissionRecord
 from repro.gateway.handlers.timing_fault import ReplyOutcome
 from repro.sim.hostclock import ClockRegistry, HostClock
 from repro.sim.kernel import Simulator
-
-from .conftest import FaultStack
 
 
 class TestHostClock:
@@ -222,7 +222,7 @@ class TestClockDriver:
 
 class TestAuditorClockInvariants:
     def test_negative_response_time_is_a_violation(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         event = stack.sim.event()
         outcome = ReplyOutcome(
             value=None,
@@ -248,9 +248,9 @@ class TestAuditorClockInvariants:
         assert any("negative response time" in v for v in report.violations)
 
     def test_future_stamped_record_is_a_leak(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         stack.add_server("s-1")
-        client = stack.add_client("c-1")
+        client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
         stack.invoke("c-1")
         stack.sim.run()
         # Stamp s-1's record beyond the client clock's current reading —

@@ -19,11 +19,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import random_fault_schedule
+from repro.faultinject import FaultSchedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.sim.random import Constant
 
-from .conftest import FaultStack
 
 REPLICAS = [f"s-{i + 1}" for i in range(5)]
 SCALE = max(1, int(os.environ.get("FAULT_ACCEPTANCE_SCALE", "1")))
@@ -48,14 +50,14 @@ def _closed_loop(stack, host, count, think_ms, first_arg=0):
 @pytest.mark.parametrize("seed,fault_seed,schedule_seed", SEED_MATRIX)
 def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed):
     tag = f"(seed={seed}, fault_seed={fault_seed})"
-    stack = FaultStack(seed=seed, fault_seed=fault_seed)
+    stack = Deployment(seed, schedule=FaultSchedule(), wire=np.random.default_rng(fault_seed))
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
-    stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    stack.add_client("c-2", deadline_ms=60.0, response_timeout_factor=3.0)
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0), response_timeout_factor=3.0)
+    stack.add_client("c-2", QoSSpec(SERVICE, 60.0, 0.0), response_timeout_factor=3.0)
     stack.add_client(
         "c-3",
-        deadline_ms=100.0,
+        QoSSpec(SERVICE, 100.0, 0.0),
         handler_cls=RetransmittingClientHandler,
         retry_timeout_ms=25.0,
         max_retries=2,
@@ -68,7 +70,7 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
         replicas=REPLICAS,
     )
     stack.transport.schedule = schedule
-    driver = stack.make_driver()
+    driver = stack.lifecycle
     driver.apply(schedule)
 
     loads = [
@@ -107,15 +109,15 @@ def test_same_seed_same_outcome():
     # identical reply/timeout splits (a prerequisite for debugging any
     # future auditor failure).
     def run_once():
-        stack = FaultStack(seed=5, fault_seed=21)
+        stack = Deployment(5, schedule=FaultSchedule(), wire=np.random.default_rng(21))
         for host in REPLICAS[:3]:
             stack.add_server(host, service_time=Constant(8.0))
-        stack.add_client("c-1", deadline_ms=80.0, response_timeout_factor=3.0)
+        stack.add_client("c-1", QoSSpec(SERVICE, 80.0, 0.0), response_timeout_factor=3.0)
         schedule = random_fault_schedule(
             np.random.default_rng(13), horizon_ms=600.0, replicas=REPLICAS[:3]
         )
         stack.transport.schedule = schedule
-        driver = stack.make_driver()
+        driver = stack.lifecycle
         driver.apply(schedule)
         _closed_loop(stack, "c-1", 40, think_ms=4.0)
         stack.sim.run()

@@ -17,6 +17,8 @@ Covers the three enforcement layers of ISSUE 9's fault plane:
 import numpy as np
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import (
     CrashRestartFault,
     FaultSchedule,
@@ -27,12 +29,8 @@ from repro.faultinject import (
     grey_partition,
 )
 from repro.gateway.handlers.timing_fault import MSG_PROBE
-from repro.group.ensemble import GroupCommunication
-from repro.group.failure_detector import FailureDetector
 from repro.net.message import Message
 from repro.sim.random import Constant
-
-from .conftest import SERVICE, FaultStack
 
 
 def _msg(src="client-1", dst="server-1", kind="request"):
@@ -240,10 +238,10 @@ class TestLanConnectivity:
 
 class TestFaultyTransportEnforcement:
     def _wired(self, schedule, fault_seed=0):
-        stack = FaultStack(schedule=schedule, fault_seed=fault_seed)
+        stack = Deployment(schedule=schedule, wire=np.random.default_rng(fault_seed))
         stack.add_server("s-1", service_time=Constant(5.0))
         stack.add_server("s-2", service_time=Constant(5.0))
-        stack.add_client("c-1", deadline_ms=100.0)
+        stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
         return stack
 
     @staticmethod
@@ -355,7 +353,7 @@ class TestPartitionDriver:
         )
 
     def test_wire_only_cuts_never_touch_the_lan(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         stack.add_server("s-1")
         driver = self._driver(stack)
         driver.apply(
@@ -376,10 +374,10 @@ class TestPartitionDriver:
         assert stack.lan.severed_links() == []
 
     def test_blackout_cut_severs_and_heals_ordered_pairs(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         stack.add_server("s-1")
         stack.add_server("s-2")
-        stack.add_client("c-1")
+        stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
         driver = self._driver(stack)
         fault = PartitionFault(side=("s-1",), start_ms=10.0, end_ms=50.0)
         driver.apply_partition(fault)
@@ -395,9 +393,9 @@ class TestPartitionDriver:
         assert driver.heals_applied == 1
 
     def test_one_way_cut_severs_one_direction_only(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         stack.add_server("s-1")
-        stack.add_client("c-1")
+        stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
         driver = self._driver(stack)
         fault = PartitionFault(
             side=("s-1",), start_ms=10.0, end_ms=50.0, mode="outbound"
@@ -408,9 +406,9 @@ class TestPartitionDriver:
         assert stack.lan.reachable("c-1", "s-1")
 
     def test_flapping_cut_cycles_the_links(self):
-        stack = FaultStack()
+        stack = Deployment(schedule=FaultSchedule())
         stack.add_server("s-1")
-        stack.add_client("c-1")
+        stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
         driver = self._driver(stack)
         fault = PartitionFault(
             side=("s-1",),
@@ -463,25 +461,11 @@ class TestPartitionDriver:
 
 def _vantage_stack():
     """A stack whose detector observes from the client's vantage."""
-    stack = FaultStack()
-    detector = FailureDetector(
-        stack.sim,
-        stack.lan,
-        poll_interval_ms=10.0,
-        confirm_polls=2,
-        vantage="c-1",
-    )
-    stack.group_comm = GroupCommunication(
-        stack.sim,
-        stack.lan,
-        stack.transport,
-        notify_delay_ms=1.0,
-        failure_detector=detector,
-    )
-    stack.add_client("c-1")
+    stack = Deployment(schedule=FaultSchedule(), vantage="c-1")
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.add_server("s-1")
     stack.add_server("s-2")
-    return stack, detector
+    return stack, stack.group_comm.failure_detector
 
 
 class TestHealReconciliation:
@@ -592,7 +576,7 @@ class TestFlapCrashRestartComposition:
             service=SERVICE,
             replicas=["s-1", "s-2"],
         )
-        lifecycle = stack.make_driver()
+        lifecycle = stack.lifecycle
         # Flap [50, 230), 60ms period, 50% duty: cuts at [50, 80),
         # [110, 140), [170, 200).  The host genuinely dies during the
         # second cut and comes back long after the window.

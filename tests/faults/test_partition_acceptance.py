@@ -14,11 +14,12 @@ The contract:
   and no acks from the dark side of the cut.
 """
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import FaultSchedule, PartitionDriver, PartitionFault
 from repro.health import HealthConfig
 from repro.sim.random import Constant
 
-from .conftest import SERVICE, FaultStack
 
 CUT_START_MS = 2_000.0
 CUT_END_MS = 32_000.0
@@ -36,13 +37,13 @@ def _build():
             ),
         ),
     )
-    stack = FaultStack(schedule=schedule)
+    stack = Deployment(schedule=schedule)
     stack.add_server("s-1", service_time=Constant(4.0))  # the best replica
     stack.add_server("s-2", service_time=Constant(10.0))
     stack.add_server("s-3", service_time=Constant(10.0))
     stack.add_client(
         "client-1",
-        deadline_ms=100.0,
+        QoSSpec(SERVICE, 100.0, 0.0),
         response_timeout_factor=3.0,
         probe_interval_ms=50.0,
         health_config=HealthConfig(

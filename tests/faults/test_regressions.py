@@ -17,21 +17,23 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import DropRule, FaultSchedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.gateway.handlers.timing_fault import MSG_PROBE_REPLY
 from repro.sim.random import Constant
 
-from .conftest import SERVICE, FaultStack
 
-
-def _retrans_stack(servers=2, **client_kwargs):
-    stack = FaultStack()
+def _retrans_stack(servers=2, deadline_ms=200.0, **client_kwargs):
+    stack = Deployment(schedule=FaultSchedule())
     for index in range(servers):
         stack.add_server(f"s-{index + 1}", service_time=Constant(10.0))
-    client_kwargs.setdefault("deadline_ms", 200.0)
-    handler = stack.add_client(
-        "c-1", handler_cls=RetransmittingClientHandler, **client_kwargs
+    handler, _ = stack.add_client(
+        "c-1",
+        QoSSpec(SERVICE, deadline_ms, 0.0),
+        handler_cls=RetransmittingClientHandler,
+        **client_kwargs,
     )
     return stack, handler
 
@@ -56,7 +58,7 @@ def test_alias_dropped_when_original_request_expires():
         max_retries=2,
         response_timeout_factor=3.0,
     )
-    driver = stack.make_driver()
+    driver = stack.lifecycle
     # Both replicas fail-stop after the first send but before any reply:
     # the retransmitted copies can never be answered.
     stack.sim.call_at(2.0, lambda: driver.crash_now("s-1"))
@@ -94,10 +96,10 @@ def test_retry_chain_is_armed_on_the_threaded_msg_id():
 
 
 def test_pending_dropped_once_all_expected_replies_arrived():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     for index in range(3):
         stack.add_server(f"s-{index + 1}", service_time=Constant(10.0))
-    client = stack.add_client("c-1", deadline_ms=100.0)
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     event = stack.invoke("c-1", 0)
     # Well before the 10×deadline response timeout: every selected replica
     # has replied by ~12 ms, so the record must already be gone.
@@ -110,8 +112,8 @@ def test_pending_dropped_once_all_expected_replies_arrived():
 
 
 def test_empty_view_fails_fast_as_timeout():
-    stack = FaultStack()
-    client = stack.add_client("c-1", deadline_ms=100.0)
+    stack = Deployment(schedule=FaultSchedule())
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     event = stack.invoke("c-1", 0)
     stack.sim.run()
     outcome = event.value
@@ -127,10 +129,10 @@ def test_empty_view_fails_fast_as_timeout():
 
 
 def test_stale_view_membership_error_fails_fast():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     stack.add_server("s-1")
     stack.add_server("s-2")
-    client = stack.add_client("c-1", deadline_ms=100.0)
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0))
     # Drain the join/subscribe traffic, then empty the group *without*
     # announcing (Group.leave bypasses GroupCommunication): the client's
     # member list is now entirely stale and the multicast send raises.
@@ -152,10 +154,13 @@ def test_probe_bookkeeping_is_bounded_when_replies_are_lost():
     schedule = FaultSchedule(
         drops=(DropRule(start_ms=0.0, end_ms=1e9, kinds=(MSG_PROBE_REPLY,)),)
     )
-    stack = FaultStack(schedule=schedule)
+    stack = Deployment(schedule=schedule)
     stack.add_server("s-1")
-    client = stack.add_client(
-        "c-1", probe_staleness_ms=20.0, probe_interval_ms=30.0
+    client, _ = stack.add_client(
+        "c-1",
+        QoSSpec(SERVICE, 100.0, 0.0),
+        probe_staleness_ms=20.0,
+        probe_interval_ms=30.0,
     )
     stack.sim.run(until=400.0)
     assert client.probes_sent >= 5

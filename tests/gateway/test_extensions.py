@@ -3,14 +3,15 @@ gateway-delay windows."""
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.gateway.handlers.timing_fault import (
     DEFAULT_CLASS,
     method_classifier,
 )
 from repro.orb.object import MethodRequest, MethodSignature
+from repro.replica.load import ServiceProfile
 from repro.sim.random import Constant
-
-from .conftest import SERVICE, MiniStack
 
 
 def test_method_classifier():
@@ -21,42 +22,20 @@ def test_method_classifier():
 class TestRequestClassification:
     def _two_method_stack(self):
         """A stack whose interface has a cheap and an expensive method."""
-        stack = MiniStack()
+        stack = Deployment()
         stack.interface.add_method(MethodSignature("heavy"))
-        stack.lan.add_host("replica-1")
-
-        from repro.gateway.gateway import Gateway
-        from repro.gateway.handlers.timing_fault import TimingFaultServerHandler
-        from repro.orb.object import FunctionServant
-        from repro.replica.load import ServiceProfile
-        from repro.replica.server import ReplicaApplication
-
-        servant = FunctionServant(
-            stack.interface,
-            {"process": lambda i: i, "heavy": lambda i: -i},
+        server = stack.add_server("replica-1")
+        server.app.profile = ServiceProfile(
+            default=Constant(10.0), per_method={"heavy": Constant(120.0)}
         )
-        app = ReplicaApplication(
-            host="replica-1",
-            servant=servant,
-            profile=ServiceProfile(
-                default=Constant(10.0),
-                per_method={"heavy": Constant(120.0)},
-            ),
-            streams=stack.streams,
-        )
-        handler = TimingFaultServerHandler(
-            sim=stack.sim, app=app, transport=stack.transport,
-            marshalling=stack.marshalling,
-        )
-        Gateway("replica-1", stack.sim, stack.transport).load_handler(handler)
-        stack.group_comm.join(SERVICE, "replica-1", watch=True)
-        stack.servers["replica-1"] = handler
         return stack
 
     def test_classified_history_is_kept_apart(self):
         stack = self._two_method_stack()
-        client = stack.add_client(
-            "client-1", deadline_ms=1000.0, classifier=method_classifier
+        client, _ = stack.add_client(
+            "client-1",
+            QoSSpec(SERVICE, 1000.0, 0.0),
+            classifier=method_classifier,
         )
         stub = stack.stubs["client-1"]
         for i in range(3):
@@ -72,8 +51,10 @@ class TestRequestClassification:
 
     def test_classified_model_predicts_per_method(self):
         stack = self._two_method_stack()
-        client = stack.add_client(
-            "client-1", deadline_ms=50.0, classifier=method_classifier
+        client, _ = stack.add_client(
+            "client-1",
+            QoSSpec(SERVICE, 50.0, 0.0),
+            classifier=method_classifier,
         )
         stub = stack.stubs["client-1"]
         for i in range(3):
@@ -90,7 +71,7 @@ class TestRequestClassification:
         # Without classification, both methods share one history and the
         # model is wrong for both — the motivation for the extension.
         stack = self._two_method_stack()
-        client = stack.add_client("client-1", deadline_ms=50.0)
+        client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 50.0, 0.0))
         stub = stack.stubs["client-1"]
         for i in range(3):
             event = stub.invoke("process", i)
@@ -101,17 +82,19 @@ class TestRequestClassification:
         assert 0.0 < pooled < 1.0
 
     def test_default_class_always_present(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1")
-        client = stack.add_client("client-1")
+        client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 100.0, 0.0))
         assert client.request_classes() == [DEFAULT_CLASS]
 
 
 class TestGatewayDelayWindow:
     def test_window_collects_delays(self, stack):
         stack.add_server("replica-1", service_time=Constant(10.0))
-        client = stack.add_client(
-            "client-1", deadline_ms=1000.0, gateway_window_size=4
+        client, _ = stack.add_client(
+            "client-1",
+            QoSSpec(SERVICE, 1000.0, 0.0),
+            gateway_window_size=4,
         )
         for i in range(3):
             stack.invoke("client-1", i)
@@ -122,14 +105,16 @@ class TestGatewayDelayWindow:
 
     def test_estimator_convolves_gateway_distribution(self, stack):
         stack.add_server("replica-1", service_time=Constant(10.0))
-        client = stack.add_client(
-            "client-1", deadline_ms=1000.0, gateway_window_size=4
+        client, _ = stack.add_client(
+            "client-1",
+            QoSSpec(SERVICE, 1000.0, 0.0),
+            gateway_window_size=4,
         )
         for i in range(3):
             stack.invoke("client-1", i)
             stack.sim.run()
         pmf = client.estimator.response_time_pmf("replica-1")
-        # Deterministic MiniStack: every T sample identical, so mean must
+        # Deterministic deployment: every T sample identical, so mean must
         # equal service + queue + T regardless of representation.
         record = client.repository.record("replica-1")
         expected = (
@@ -142,11 +127,11 @@ class TestGatewayDelayWindow:
 
 class TestActiveProbing:
     def test_probe_refreshes_stale_records(self):
-        stack = MiniStack()
+        stack = Deployment()
         server = stack.add_server("replica-1", service_time=Constant(10.0))
-        client = stack.add_client(
+        client, _ = stack.add_client(
             "client-1",
-            deadline_ms=1000.0,
+            QoSSpec(SERVICE, 1000.0, 0.0),
             probe_staleness_ms=500.0,
             probe_interval_ms=100.0,
         )
@@ -161,11 +146,11 @@ class TestActiveProbing:
         assert record.last_update_ms > updated_at
 
     def test_no_probes_while_traffic_is_fresh(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
-        client = stack.add_client(
+        client, _ = stack.add_client(
             "client-1",
-            deadline_ms=1000.0,
+            QoSSpec(SERVICE, 1000.0, 0.0),
             probe_staleness_ms=10_000.0,
             probe_interval_ms=100.0,
         )
@@ -174,11 +159,11 @@ class TestActiveProbing:
         assert client.probes_sent == 0
 
     def test_probes_do_not_enter_the_fifo_queue(self):
-        stack = MiniStack()
+        stack = Deployment()
         server = stack.add_server("replica-1", service_time=Constant(500.0))
-        client = stack.add_client(
+        client, _ = stack.add_client(
             "client-1",
-            deadline_ms=10_000.0,
+            QoSSpec(SERVICE, 10_000.0, 0.0),
             probe_staleness_ms=50.0,
             probe_interval_ms=100.0,
         )
@@ -190,18 +175,20 @@ class TestActiveProbing:
         assert client.repository.record("replica-1").queue_length >= 1
 
     def test_probing_is_daemon_activity(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1")
         stack.add_client(
-            "client-1", deadline_ms=1000.0, probe_staleness_ms=100.0
+            "client-1",
+            QoSSpec(SERVICE, 1000.0, 0.0),
+            probe_staleness_ms=100.0,
         )
         stack.sim.run()  # must terminate despite the probe loop
         assert True
 
     def test_probe_parameter_validation(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1")
         with pytest.raises(ValueError):
-            stack.add_client("client-x", probe_staleness_ms=0.0)
+            stack.add_client("client-x", QoSSpec(SERVICE, 100.0, 0.0), probe_staleness_ms=0.0)
         with pytest.raises(ValueError):
-            stack.add_client("client-y", probe_interval_ms=0.0)
+            stack.add_client("client-y", QoSSpec(SERVICE, 100.0, 0.0), probe_interval_ms=0.0)

@@ -2,22 +2,23 @@
 while a verification probe is already in flight must not be double-probed,
 and the in-flight probe must not make the record look fresh."""
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.health import HealthConfig, HealthState
 from repro.sim.random import Constant
 
-from .conftest import MiniStack
 
-
-def probing_client(stack: MiniStack, **kwargs):
-    kwargs.setdefault("deadline_ms", 1000.0)
+def probing_client(stack: Deployment, deadline_ms=1000.0, **kwargs):
     kwargs.setdefault("probe_staleness_ms", 50.0)
     kwargs.setdefault("probe_interval_ms", 100.0)
-    return stack.add_client("client-1", **kwargs)
+    return stack.add_client(
+        "client-1", QoSSpec(SERVICE, deadline_ms, 0.0), **kwargs
+    )[0]
 
 
 class TestInFlightGuard:
     def test_stale_replica_is_probed_once_not_twice(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(stack)
         # Cold record -> infinitely stale -> due.  The first tick sends
@@ -30,7 +31,7 @@ class TestInFlightGuard:
         assert client.probes_sent == 1
 
     def test_health_due_probe_is_not_duplicated_while_in_flight(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(
             stack,
@@ -52,7 +53,7 @@ class TestInFlightGuard:
 
     def test_both_paths_due_still_yield_a_single_probe(self):
         # Staleness AND health both nominate the same replica in one tick.
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(
             stack,
@@ -66,7 +67,7 @@ class TestInFlightGuard:
         assert client.probes_sent == 1
 
     def test_in_flight_probe_does_not_refresh_the_record(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(stack)
         stack.invoke("client-1", 0)
@@ -78,7 +79,7 @@ class TestInFlightGuard:
         assert record.last_update_ms == updated_at
 
     def test_expired_probe_frees_the_slot_for_reprobing(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(stack)
         client._probe_tick()
@@ -90,7 +91,7 @@ class TestInFlightGuard:
         assert client.probes_sent == 2
 
     def test_probe_expiry_feeds_health_as_probe_failure(self):
-        stack = MiniStack()
+        stack = Deployment()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(
             stack,

@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.sim.random import Constant
 
-from .conftest import MiniStack
-
 
 def _stack_with(handler_kwargs=None, servers=2, service_time=None):
-    stack = MiniStack()
+    stack = Deployment()
     for index in range(servers):
         stack.add_server(
             f"replica-{index + 1}", service_time=service_time or Constant(10.0)
@@ -18,29 +18,13 @@ def _stack_with(handler_kwargs=None, servers=2, service_time=None):
 
 
 def _add_retry_client(stack, deadline=200.0, **kwargs):
-    from repro.core.qos import QoSSpec
-    from repro.gateway.gateway import Gateway
-    from repro.orb.orb import Orb
-
-    stack.lan.add_host("client-1")
-    handler = RetransmittingClientHandler(
-        sim=stack.sim,
-        host="client-1",
-        transport=stack.transport,
-        group_comm=stack.group_comm,
-        interface=stack.interface,
-        qos=QoSSpec("search", deadline, 0.0),
-        marshalling=stack.marshalling,
-        selection_charge_ms=0.0,
+    handler, _ = stack.add_client(
+        "client-1",
+        QoSSpec(SERVICE, deadline, 0.0),
+        RetransmittingClientHandler,
         rng=stack.streams.stream("client-1.policy"),
         **kwargs,
     )
-    Gateway("client-1", stack.sim, stack.transport).load_handler(handler)
-    orb = Orb()
-    orb.register_interface(stack.interface)
-    orb.bind_interceptor("search", handler)
-    stack.clients["client-1"] = handler
-    stack.stubs["client-1"] = orb.stub("search")
     return handler
 
 

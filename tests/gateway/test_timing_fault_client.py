@@ -3,15 +3,14 @@
 import pytest
 
 from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE
 from repro.sim.random import Constant
-
-from .conftest import SERVICE
 
 
 def test_qos_service_must_match_interface(stack):
     stack.add_server("replica-1")
     with pytest.raises(ValueError):
-        stack.add_client("client-1", deadline_ms=100.0).renegotiate_qos(
+        stack.add_client("client-1", QoSSpec(SERVICE, 100.0, 0.0))[0].renegotiate_qos(
             QoSSpec("other", 100.0, 0.5)
         )
 
@@ -19,7 +18,7 @@ def test_qos_service_must_match_interface(stack):
 def test_first_request_bootstraps_to_all_replicas(stack):
     for i in range(3):
         stack.add_server(f"replica-{i + 1}", service_time=Constant(10.0))
-    stack.add_client("client-1", deadline_ms=1000.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     event = stack.invoke("client-1", 0)
     stack.sim.run()
     assert event.value.redundancy == 3
@@ -29,7 +28,7 @@ def test_first_request_bootstraps_to_all_replicas(stack):
 def test_second_request_uses_the_model(stack):
     for i in range(3):
         stack.add_server(f"replica-{i + 1}", service_time=Constant(10.0))
-    stack.add_client("client-1", deadline_ms=1000.0, min_probability=0.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     first = stack.invoke("client-1", 0)
     stack.sim.run()
     second = stack.invoke("client-1", 1)
@@ -42,7 +41,7 @@ def test_second_request_uses_the_model(stack):
 def test_first_reply_wins_and_duplicates_update_repository(stack):
     stack.add_server("replica-fast", service_time=Constant(10.0))
     stack.add_server("replica-slow", service_time=Constant(80.0))
-    client = stack.add_client("client-1", deadline_ms=1000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     event = stack.invoke("client-1", 0)  # bootstrap: goes to both
     stack.sim.run()
     assert event.value.replica == "replica-fast"
@@ -54,17 +53,17 @@ def test_first_reply_wins_and_duplicates_update_repository(stack):
 
 def test_response_time_measured_from_interception(stack):
     stack.add_server("replica-1", service_time=Constant(40.0))
-    stack.add_client("client-1", deadline_ms=1000.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     event = stack.invoke("client-1", 0)
     stack.sim.run()
     tr = event.value.response_time_ms
-    # service 40 + two 1 ms hops; no jitter, no marshalling in MiniStack.
+    # service 40 + two 1 ms hops; no jitter, no marshalling in the test deployment.
     assert tr == pytest.approx(42.0, abs=0.5)
 
 
 def test_timing_failure_detected_when_late(stack):
     stack.add_server("replica-1", service_time=Constant(100.0))
-    client = stack.add_client("client-1", deadline_ms=50.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 50.0, 0.0))
     event = stack.invoke("client-1", 0)
     stack.sim.run()
     assert event.value.timely is False
@@ -74,7 +73,7 @@ def test_timing_failure_detected_when_late(stack):
 
 def test_gateway_delay_computation(stack):
     stack.add_server("replica-1", service_time=Constant(40.0))
-    client = stack.add_client("client-1", deadline_ms=1000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     stack.invoke("client-1", 0)
     stack.sim.run()
     record = client.repository.record("replica-1")
@@ -84,7 +83,7 @@ def test_gateway_delay_computation(stack):
 
 def test_expiry_when_no_replica_replies(stack):
     server = stack.add_server("replica-1", service_time=Constant(10.0))
-    client = stack.add_client("client-1", deadline_ms=20.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 20.0, 0.0))
     server.crash()
     event = stack.invoke("client-1", 0)
     stack.sim.run()
@@ -98,7 +97,7 @@ def test_expiry_when_no_replica_replies(stack):
 def test_view_change_purges_crashed_replica(stack):
     stack.add_server("replica-1", service_time=Constant(10.0))
     stack.add_server("replica-2", service_time=Constant(10.0))
-    client = stack.add_client("client-1", deadline_ms=1000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     stack.sim.run()
     assert client.repository.replicas() == ["replica-1", "replica-2"]
     stack.lan.mark_down("replica-2")
@@ -110,7 +109,7 @@ def test_view_change_purges_crashed_replica(stack):
 def test_requests_avoid_evicted_replica(stack):
     stack.add_server("replica-1", service_time=Constant(10.0))
     stack.add_server("replica-2", service_time=Constant(10.0))
-    client = stack.add_client("client-1", deadline_ms=1000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     stack.sim.run()
     stack.lan.mark_down("replica-2")
     stack.servers["replica-2"].crash()
@@ -124,10 +123,9 @@ def test_requests_avoid_evicted_replica(stack):
 def test_violation_callback_fires_once_per_episode(stack):
     stack.add_server("replica-1", service_time=Constant(100.0))
     violations = []
-    client = stack.add_client(
+    client, _ = stack.add_client(
         "client-1",
-        deadline_ms=50.0,
-        min_probability=0.9,
+        QoSSpec(SERVICE, 50.0, 0.9),
         violation_callback=lambda svc, p, spec: violations.append((svc, p)),
         min_violation_samples=3,
     )
@@ -141,7 +139,7 @@ def test_violation_callback_fires_once_per_episode(stack):
 
 def test_renegotiation_resets_stats(stack):
     stack.add_server("replica-1", service_time=Constant(100.0))
-    client = stack.add_client("client-1", deadline_ms=50.0, min_probability=0.9)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 50.0, 0.9))
     event = stack.invoke("client-1", 0)
     stack.sim.run()
     assert client.stats.timing_failures == 1
@@ -155,9 +153,9 @@ def test_renegotiation_resets_stats(stack):
 def test_constructor_validation(stack):
     stack.add_server("replica-1")
     with pytest.raises(ValueError):
-        stack.add_client("client-x", deadline_ms=100.0, response_timeout_factor=1.0)
+        stack.add_client("client-x", QoSSpec(SERVICE, 100.0, 0.0), response_timeout_factor=1.0)
     with pytest.raises(ValueError):
-        stack.add_client("client-y", deadline_ms=100.0, selection_charge_ms=-1.0)
+        stack.add_client("client-y", QoSSpec(SERVICE, 100.0, 0.0), selection_charge_ms=-1.0)
 
 
 def test_stale_perf_push_does_not_resurrect_evicted_replica(stack):
@@ -165,7 +163,7 @@ def test_stale_perf_push_does_not_resurrect_evicted_replica(stack):
     from repro.net.message import Message
 
     stack.add_server("replica-1", service_time=Constant(10.0))
-    client = stack.add_client("client-1", deadline_ms=1000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     stack.sim.run()
     client.repository.remove_replica("replica-1")
     perf = PerformanceUpdate(

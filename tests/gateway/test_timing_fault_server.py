@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE
 from repro.sim.random import Constant
-
 
 
 def test_request_is_serviced_and_replied(stack):
     stack.add_server("replica-1", service_time=Constant(20.0))
-    stack.add_client("client-1", deadline_ms=200.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 200.0, 0.0))
     event = stack.invoke("client-1", 7)
     stack.sim.run()
     outcome = event.value
@@ -19,7 +20,7 @@ def test_request_is_serviced_and_replied(stack):
 
 def test_fifo_ordering_under_backlog(stack):
     server = stack.add_server("replica-1", service_time=Constant(50.0))
-    stack.add_client("client-1", deadline_ms=10_000.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 10_000.0, 0.0))
     first = stack.invoke("client-1", 1)
     second = stack.invoke("client-1", 2)
     stack.sim.run()
@@ -32,7 +33,7 @@ def test_fifo_ordering_under_backlog(stack):
 
 def test_queue_delay_reported_in_perf_data(stack):
     stack.add_server("replica-1", service_time=Constant(50.0))
-    client = stack.add_client("client-1", deadline_ms=10_000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 10_000.0, 0.0))
     stack.invoke("client-1", 1)
     stack.invoke("client-1", 2)
     stack.sim.run()
@@ -43,7 +44,7 @@ def test_queue_delay_reported_in_perf_data(stack):
 
 def test_service_time_reported_in_perf_data(stack):
     stack.add_server("replica-1", service_time=Constant(35.0))
-    client = stack.add_client("client-1", deadline_ms=10_000.0)
+    client, _ = stack.add_client("client-1", QoSSpec(SERVICE, 10_000.0, 0.0))
     stack.invoke("client-1", 1)
     stack.sim.run()
     services = client.repository.record("replica-1").service_times.values()
@@ -52,7 +53,7 @@ def test_service_time_reported_in_perf_data(stack):
 
 def test_queue_length_counts_waiting_and_in_service(stack):
     server = stack.add_server("replica-1", service_time=Constant(100.0))
-    stack.add_client("client-1", deadline_ms=100_000.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 100_000.0, 0.0))
     for i in range(3):
         stack.invoke("client-1", i)
     stack.sim.run(until=30.0)  # all three arrived; one in service
@@ -63,15 +64,15 @@ def test_queue_length_counts_waiting_and_in_service(stack):
 
 def test_subscription_registers_client(stack):
     server = stack.add_server("replica-1")
-    stack.add_client("client-1")
+    stack.add_client("client-1", QoSSpec(SERVICE, 100.0, 0.0))
     stack.sim.run()
     assert server.subscribers == ["client-1"]
 
 
 def test_perf_updates_pushed_to_other_subscribers(stack):
     stack.add_server("replica-1", service_time=Constant(10.0))
-    active = stack.add_client("client-1", deadline_ms=1000.0)
-    passive = stack.add_client("client-2", deadline_ms=1000.0)
+    active, _ = stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
+    passive, _ = stack.add_client("client-2", QoSSpec(SERVICE, 1000.0, 0.0))
     stack.sim.run()  # let subscriptions land
     stack.invoke("client-1", 1)
     stack.sim.run()
@@ -84,7 +85,7 @@ def test_perf_updates_pushed_to_other_subscribers(stack):
 
 def test_crashed_server_ignores_requests(stack):
     server = stack.add_server("replica-1", service_time=Constant(10.0))
-    stack.add_client("client-1", deadline_ms=50.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 50.0, 0.0))
     server.crash()
     event = stack.invoke("client-1", 1)
     stack.sim.run()
@@ -93,7 +94,7 @@ def test_crashed_server_ignores_requests(stack):
 
 def test_crash_mid_service_loses_reply(stack):
     server = stack.add_server("replica-1", service_time=Constant(100.0))
-    stack.add_client("client-1", deadline_ms=50.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 50.0, 0.0))
     event = stack.invoke("client-1", 1)
     stack.sim.call_in(30.0, server.crash)  # while request is in service
     stack.sim.run()
@@ -102,7 +103,7 @@ def test_crash_mid_service_loses_reply(stack):
 
 def test_restart_after_crash_processes_again(stack):
     server = stack.add_server("replica-1", service_time=Constant(10.0))
-    stack.add_client("client-1", deadline_ms=1000.0)
+    stack.add_client("client-1", QoSSpec(SERVICE, 1000.0, 0.0))
     server.crash()
     server.restart()
     event = stack.invoke("client-1", 5)

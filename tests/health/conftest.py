@@ -1,14 +1,14 @@
-"""Shared fixtures for the health-subsystem tests.
+"""Shared fixture for the health-subsystem tests.
 
-Re-exports the gateway ``MiniStack`` fixture so the adaptive-timeout
-tests can drive a real handler without duplicating the harness.
+The adaptive-timeout tests drive a real handler on the same small
+deterministic deployment the gateway tests use.
 """
 
 import pytest
 
-from ..gateway.conftest import MiniStack
+from repro.deployment import Deployment
 
 
 @pytest.fixture
-def stack() -> MiniStack:
-    return MiniStack()
+def stack() -> Deployment:
+    return Deployment()

@@ -4,10 +4,10 @@ timeout whenever disabled or cold."""
 
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.health import HealthConfig
 from repro.sim.random import Constant
-
-from ..gateway.conftest import MiniStack
 
 
 def warm_up(stack, client="c-1", requests=3):
@@ -23,20 +23,22 @@ def warm_up(stack, client="c-1", requests=3):
 
 
 class TestAdaptiveTimeout:
-    def test_disabled_without_health_config(self, stack: MiniStack):
+    def test_disabled_without_health_config(self, stack: Deployment):
         stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
-            "c-1", deadline_ms=100.0, response_timeout_factor=10.0
+        handler, _ = stack.add_client(
+            "c-1",
+            QoSSpec(SERVICE, 100.0, 0.0),
+            response_timeout_factor=10.0,
         )
         assert handler.adaptive_timeout_quantile is None
         warm_up(stack)
         assert handler._response_timeout_ms(("s-1",), "") == 1000.0
 
-    def test_cold_model_keeps_the_legacy_ceiling(self, stack: MiniStack):
+    def test_cold_model_keeps_the_legacy_ceiling(self, stack: Deployment):
         stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=100.0,
+            QoSSpec(SERVICE, 100.0, 0.0),
             response_timeout_factor=10.0,
             health_config=HealthConfig(),
         )
@@ -44,26 +46,26 @@ class TestAdaptiveTimeout:
         # No requests yet: no pmf for s-1 -> generous legacy wait.
         assert handler._response_timeout_ms(("s-1",), "") == 1000.0
 
-    def test_warm_model_clamps_up_to_the_deadline(self, stack: MiniStack):
+    def test_warm_model_clamps_up_to_the_deadline(self, stack: Deployment):
         # Predicted responses (~10 ms) sit far below the 100 ms deadline:
         # the timeout must rise to the deadline, never below it.
         stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=100.0,
+            QoSSpec(SERVICE, 100.0, 0.0),
             response_timeout_factor=10.0,
             health_config=HealthConfig(),
         )
         warm_up(stack)
         assert handler._response_timeout_ms(("s-1",), "") == 100.0
 
-    def test_warm_model_between_deadline_and_ceiling(self, stack: MiniStack):
+    def test_warm_model_between_deadline_and_ceiling(self, stack: Deployment):
         # Predicted responses (~84 ms) exceed the 50 ms deadline: the
         # timeout follows the model, well under the 500 ms legacy wait.
         stack.add_server("s-1", service_time=Constant(80.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=50.0,
+            QoSSpec(SERVICE, 50.0, 0.0),
             response_timeout_factor=10.0,
             health_config=HealthConfig(),
         )
@@ -71,12 +73,12 @@ class TestAdaptiveTimeout:
         timeout = handler._response_timeout_ms(("s-1",), "")
         assert 50.0 < timeout < 150.0
 
-    def test_worst_selected_replica_dominates(self, stack: MiniStack):
+    def test_worst_selected_replica_dominates(self, stack: Deployment):
         stack.add_server("s-1", service_time=Constant(20.0))
         stack.add_server("s-2", service_time=Constant(80.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=50.0,
+            QoSSpec(SERVICE, 50.0, 0.0),
             response_timeout_factor=10.0,
             health_config=HealthConfig(),
         )
@@ -85,22 +87,22 @@ class TestAdaptiveTimeout:
         fast_only = handler._response_timeout_ms(("s-1",), "")
         assert both > fast_only
 
-    def test_any_cold_member_reverts_to_the_ceiling(self, stack: MiniStack):
+    def test_any_cold_member_reverts_to_the_ceiling(self, stack: Deployment):
         stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=100.0,
+            QoSSpec(SERVICE, 100.0, 0.0),
             response_timeout_factor=10.0,
             health_config=HealthConfig(),
         )
         warm_up(stack)
         assert handler._response_timeout_ms(("s-1", "ghost"), "") == 1000.0
 
-    def test_explicit_quantile_works_without_health(self, stack: MiniStack):
+    def test_explicit_quantile_works_without_health(self, stack: Deployment):
         stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
+        handler, _ = stack.add_client(
             "c-1",
-            deadline_ms=100.0,
+            QoSSpec(SERVICE, 100.0, 0.0),
             response_timeout_factor=10.0,
             adaptive_timeout_quantile=0.5,
         )
@@ -108,7 +110,7 @@ class TestAdaptiveTimeout:
         warm_up(stack)
         assert handler._response_timeout_ms(("s-1",), "") == 100.0
 
-    def test_invalid_quantile_rejected(self, stack: MiniStack):
+    def test_invalid_quantile_rejected(self, stack: Deployment):
         stack.add_server("s-1")
         with pytest.raises(ValueError):
-            stack.add_client("c-1", adaptive_timeout_quantile=1.5)
+            stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0), adaptive_timeout_quantile=1.5)

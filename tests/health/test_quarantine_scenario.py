@@ -10,12 +10,14 @@ traffic its performance window never refreshes, the stale-good model keeps
 nominating it, and every request burns the full response timeout.
 """
 
+import numpy as np
+
+from repro.core.qos import QoSSpec
 from repro.core.selection import DynamicSelectionPolicy
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import DegradationFault, FaultSchedule
 from repro.health import HealthConfig, HealthState
 from repro.sim.random import Constant
-
-from ..faults.conftest import FaultStack
 
 REPLICAS = [f"s-{i + 1}" for i in range(5)]
 WINDOW_START, WINDOW_END = 500.0, 2500.0
@@ -33,13 +35,11 @@ def run_scenario(with_health: bool):
             ),
         )
     )
-    stack = FaultStack(seed=3, schedule=schedule, fault_seed=11)
+    stack = Deployment(3, schedule=schedule, wire=np.random.default_rng(11))
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
 
     kwargs = dict(
-        deadline_ms=100.0,
-        min_probability=0.9,
         response_timeout_factor=3.0,
         policy=DynamicSelectionPolicy(crash_tolerance=0),
     )
@@ -53,7 +53,7 @@ def run_scenario(with_health: bool):
             backoff_max_ms=3200.0,
         )
         kwargs["probe_interval_ms"] = 200.0
-    client = stack.add_client("c-1", **kwargs)
+    client, _ = stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.9), **kwargs)
 
     outcomes = []
 

@@ -24,6 +24,7 @@ STRICT_PACKAGES = [
     "repro.health",
     "repro.faultinject",
 ]
+STRICT_MODULES = ["repro.deployment"]
 
 pytestmark = pytest.mark.skipif(
     importlib.util.find_spec("mypy") is None,
@@ -36,6 +37,8 @@ def test_mypy_strict_is_clean():
     command = [sys.executable, "-m", "mypy", "--strict"]
     for package in STRICT_PACKAGES:
         command += ["-p", package]
+    for module in STRICT_MODULES:
+        command += ["-m", module]
     result = subprocess.run(
         command,
         cwd=REPO_ROOT,

@@ -6,6 +6,9 @@ record exists, and the response-time statistics stay untouched — load
 control is not a timing fault.
 """
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
+from repro.faultinject import FaultSchedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.overload import (
     AdmissionConfig,
@@ -14,7 +17,6 @@ from repro.overload import (
 )
 from repro.sim.random import Constant
 
-from ..faults.conftest import FaultStack
 
 REPLICAS = ["s-1", "s-2", "s-3"]
 
@@ -30,13 +32,13 @@ def shed_everything_config() -> OverloadConfig:
     )
 
 
-def make_stack(**client_kwargs) -> FaultStack:
-    stack = FaultStack(seed=1)
+def make_stack(**client_kwargs) -> Deployment:
+    stack = Deployment(1, schedule=FaultSchedule())
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
     stack.add_client(
         "c-1",
-        deadline_ms=5.0,  # unattainable: service alone takes 8 ms
+        QoSSpec(SERVICE, 5.0, 0.0),  # unattainable: service alone takes 8 ms
         response_timeout_factor=4.0,
         **client_kwargs,
     )
@@ -125,12 +127,12 @@ def test_auditor_flags_contradictory_shed_outcomes():
 
 def test_hedged_retransmissions_are_suppressed_first():
     def build(config):
-        stack = FaultStack(seed=2)
+        stack = Deployment(2, schedule=FaultSchedule())
         for host in REPLICAS:
             stack.add_server(host, service_time=Constant(30.0))
         stack.add_client(
             "c-1",
-            deadline_ms=100.0,
+            QoSSpec(SERVICE, 100.0, 0.0),
             handler_cls=RetransmittingClientHandler,
             retry_timeout_ms=5.0,
             max_retries=2,

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
 from repro.faultinject import (
     FaultSchedule,
     OverloadDriver,
@@ -14,7 +16,6 @@ from repro.faultinject import (
 from repro.overload import AdmissionConfig, LoadConfig, OverloadConfig
 from repro.sim.random import Constant
 
-from ..faults.conftest import FaultStack
 
 REPLICAS = [f"s-{i + 1}" for i in range(5)]
 
@@ -27,7 +28,7 @@ def test_overload_fault_validation():
 
 
 def test_driver_requires_known_submitters():
-    stack = FaultStack()
+    stack = Deployment(schedule=FaultSchedule())
     with pytest.raises(ValueError):
         OverloadDriver(stack.sim, {})
     driver = OverloadDriver(stack.sim, {"c-1": lambda arg: None})
@@ -38,10 +39,10 @@ def test_driver_requires_known_submitters():
 
 
 def test_surge_requests_flow_through_the_real_client_path():
-    stack = FaultStack(seed=4)
+    stack = Deployment(4, schedule=FaultSchedule())
     for host in REPLICAS[:3]:
         stack.add_server(host, service_time=Constant(8.0))
-    stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
+    stack.add_client("c-1", QoSSpec(SERVICE, 100.0, 0.0), response_timeout_factor=3.0)
     driver = OverloadDriver(
         stack.sim, {"c-1": lambda arg: stack.invoke("c-1", arg)}
     )
@@ -90,12 +91,12 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
     """The ISSUE's composition check: flash crowds + message faults +
     crash/churn + an aggressively shedding client all drain to a clean
     audit with reply XOR timeout XOR shed accounting."""
-    stack = FaultStack(seed=6, fault_seed=17)
+    stack = Deployment(6, schedule=FaultSchedule(), wire=np.random.default_rng(17))
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
     stack.add_client(
         "c-1",
-        deadline_ms=9.0,  # barely attainable: sheds once engaged
+        QoSSpec(SERVICE, 9.0, 0.0),  # barely attainable: sheds once engaged
         response_timeout_factor=4.0,
         overload_config=OverloadConfig(
             load=LoadConfig(target_queue_depth=2.0, ewma_alpha=0.6),
@@ -114,7 +115,7 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
         overload_windows=2,
     )
     stack.transport.schedule = schedule
-    stack.make_driver().apply(schedule)
+    stack.lifecycle.apply(schedule)
     surge = OverloadDriver(
         stack.sim, {"c-1": lambda arg: stack.invoke("c-1", arg)}
     )

@@ -9,9 +9,11 @@ burst of staleness probes fire over an idle period, and require the
 windows — values, versions, and the cached pmf objects — bit-identical.
 """
 
+from repro.core.qos import QoSSpec
+from repro.deployment import SERVICE, Deployment
+from repro.faultinject import FaultSchedule
 from repro.sim.random import Constant
 
-from ..faults.conftest import FaultStack
 
 REPLICAS = ["s-1", "s-2", "s-3"]
 BIN_WIDTH = 1.0
@@ -33,12 +35,12 @@ def _window_state(handler):
 
 
 def test_probe_burst_leaves_window_pmfs_bit_identical():
-    stack = FaultStack(seed=3)
+    stack = Deployment(3, schedule=FaultSchedule())
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
     stack.add_client(
         "c-1",
-        deadline_ms=100.0,
+        QoSSpec(SERVICE, 100.0, 0.0),
         response_timeout_factor=3.0,
         probe_staleness_ms=30.0,
         probe_interval_ms=10.0,
@@ -84,12 +86,12 @@ def test_probe_burst_leaves_window_pmfs_bit_identical():
 def test_probe_replies_do_refresh_queue_length_and_load_index():
     from repro.overload import OverloadConfig
 
-    stack = FaultStack(seed=3)
+    stack = Deployment(3, schedule=FaultSchedule())
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
     stack.add_client(
         "c-1",
-        deadline_ms=100.0,
+        QoSSpec(SERVICE, 100.0, 0.0),
         response_timeout_factor=3.0,
         probe_staleness_ms=30.0,
         probe_interval_ms=10.0,
