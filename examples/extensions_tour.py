@@ -47,7 +47,7 @@ def main() -> None:
         num_requests=60,
         think_time=Constant(800.0),
         method_chooser=lambda i: "analyze" if i % 3 == 0 else "process",
-        policy=DynamicSelectionPolicy(crash_tolerance=2, fixed_overhead_ms=0.3),
+        policy=DynamicSelectionPolicy(crash_tolerance=2),
         handler_kwargs={
             "classifier": method_classifier,
             "probe_staleness_ms": 2_000.0,

@@ -28,8 +28,9 @@ reports in Fig. 3, so the estimator runs an *incremental pipeline*
 
 With unchanged windows, a full selection therefore costs dictionary
 lookups plus one vectorized comparison — the measured Fig. 3 ``δ``
-collapses, which directly loosens the ``t − δ`` compensation of
-Algorithm 1 (§5.3.3).  Construct with ``incremental=False`` to restore
+collapses.  The simulated ``t − δ`` compensation (§5.3.3) uses the
+handler's modelled selection charge instead, so caching changes no
+simulated result.  Construct with ``incremental=False`` to restore
 the paper's rebuild-every-request behaviour (the benchmarks use it as
 the uncached baseline).
 """

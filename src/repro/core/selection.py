@@ -11,14 +11,14 @@ set ``M`` is returned.
 
 :class:`DynamicSelectionPolicy` wraps the algorithm with the paper's two
 operational details: the select-*all* bootstrap for replicas without
-performance history (§5.4.1) and the online overhead compensation that
-replaces ``t`` by ``t − δ`` (§5.3.3), with ``δ`` the most recently
-measured execution time of the selection itself.
+performance history (§5.4.1) and the overhead compensation that
+replaces ``t`` by ``t − δ`` (§5.3.3), with ``δ`` the simulated selection
+charge the calling handler applied before dispatch
+(:attr:`SelectionContext.selection_charge_ms`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -100,7 +100,8 @@ class SelectionMeta(TypedDict, total=False):
     full_probability: float
     #: Deadline after §5.3.3 overhead compensation (t − δ).
     effective_deadline_ms: float
-    #: Measured δ of this very decision, milliseconds.
+    #: δ subtracted from the deadline: the handler's modelled selection
+    #: charge (``SelectionContext.selection_charge_ms``), milliseconds.
     overhead_ms: float
     #: Per-replica F_{R_i}(t − δ) the decision was computed from.
     probabilities: Dict[str, float]
@@ -361,6 +362,10 @@ class SelectionContext:
         honor it never address more than this many replicas; Algorithm 1
         enforces it inside :func:`select_replicas` so the reported
         probabilities describe the capped set.
+    selection_charge_ms:
+        Simulated CPU time the handler charged for this selection before
+        dispatch — the §5.3.3 ``δ``.  Overhead-compensating policies
+        evaluate ``F_{R_i}(t − δ)`` with it.
     """
 
     replicas: List[str]
@@ -371,6 +376,7 @@ class SelectionContext:
     distance: Optional[Callable[[str], float]] = None
     health: Optional[HealthView] = None
     max_redundancy: Optional[int] = None
+    selection_charge_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -411,11 +417,9 @@ class DynamicSelectionPolicy(SelectionPolicy):
         Member crashes the selected set must absorb (paper: 1).
     compensate_overhead:
         When ``True`` (paper §5.3.3), selection evaluates
-        ``F_{R_i}(t − δ)`` with ``δ`` the most recently *measured*
-        execution time of this policy's own ``decide``.
-    fixed_overhead_ms:
-        Overrides the measured ``δ`` with a constant — useful for
-        deterministic tests and for simulating slower selection hosts.
+        ``F_{R_i}(t − δ)`` with ``δ`` the context's
+        ``selection_charge_ms`` — simulated time, so a decision never
+        depends on how fast the host runs it.
     stale_after_ms:
         Degradation-ladder threshold: when *every* usable replica record
         is older than this, the pmf model is starved (a dead model keeps
@@ -434,21 +438,15 @@ class DynamicSelectionPolicy(SelectionPolicy):
         self,
         crash_tolerance: int = 1,
         compensate_overhead: bool = True,
-        fixed_overhead_ms: Optional[float] = None,
         stale_after_ms: Optional[float] = None,
         stale_fallback: Optional[SelectionPolicy] = None,
     ) -> None:
-        if fixed_overhead_ms is not None and fixed_overhead_ms < 0:
-            raise ValueError(
-                f"fixed_overhead_ms must be >= 0, got {fixed_overhead_ms}"
-            )
         if stale_after_ms is not None and stale_after_ms <= 0:
             raise ValueError(
                 f"stale_after_ms must be > 0, got {stale_after_ms}"
             )
         self.crash_tolerance = int(crash_tolerance)
         self.compensate_overhead = bool(compensate_overhead)
-        self.fixed_overhead_ms = fixed_overhead_ms
         self.stale_after_ms = stale_after_ms
         if stale_fallback is None and stale_after_ms is not None:
             # Local import: baselines imports this module for the policy
@@ -457,13 +455,8 @@ class DynamicSelectionPolicy(SelectionPolicy):
 
             stale_fallback = StaticMinResponsePolicy()
         self.stale_fallback = stale_fallback
-        #: δ from the previous execution, milliseconds (paper measures it
-        #: "each time the selection algorithm is executed").
-        self.last_overhead_ms = 0.0
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        started = time.perf_counter()
-
         # Health, rung 0 of the degradation ladder: quarantined replicas
         # receive no client traffic.  Should *every* live replica be
         # quarantined, the guarantee is unattainable either way — keep
@@ -495,12 +488,7 @@ class DynamicSelectionPolicy(SelectionPolicy):
         # updates.
         deadline = ctx.qos.deadline_ms
         if self.compensate_overhead:
-            delta = (
-                self.fixed_overhead_ms
-                if self.fixed_overhead_ms is not None
-                else self.last_overhead_ms
-            )
-            deadline = max(0.0, deadline - delta)
+            deadline = max(0.0, deadline - ctx.selection_charge_ms)
         # One batched pass over all replicas where the estimator supports
         # it (cache-hot requests then cost a single vectorized compare);
         # per-replica queries otherwise.
@@ -521,7 +509,6 @@ class DynamicSelectionPolicy(SelectionPolicy):
                 # Even the select-all bootstrap respects the governor:
                 # under pressure, seeding the model must not amplify load.
                 selected = selected[: max(cap, 1)]
-            self.last_overhead_ms = (time.perf_counter() - started) * 1000.0
             return SelectionDecision(
                 selected=selected,
                 meta=annotate({"bootstrap": True, "fallback": False}),
@@ -544,9 +531,6 @@ class DynamicSelectionPolicy(SelectionPolicy):
                         selected=delegated.selected[: max(cap, 1)],
                         meta=delegated.meta,
                     )
-                self.last_overhead_ms = (
-                    time.perf_counter() - started
-                ) * 1000.0
                 meta: SelectionMeta = {
                     **delegated.meta,
                     "degraded": "stale-model",
@@ -578,7 +562,6 @@ class DynamicSelectionPolicy(SelectionPolicy):
             crash_tolerance=self.crash_tolerance,
             max_size=cap,
         )
-        self.last_overhead_ms = (time.perf_counter() - started) * 1000.0
         return SelectionDecision(
             selected=result.selected,
             meta=annotate(
@@ -589,7 +572,7 @@ class DynamicSelectionPolicy(SelectionPolicy):
                     "crash_safe_probability": result.crash_safe_probability,
                     "full_probability": result.full_probability,
                     "effective_deadline_ms": deadline,
-                    "overhead_ms": self.last_overhead_ms,
+                    "overhead_ms": ctx.selection_charge_ms,
                     "probabilities": dict(zip(replicas, probs.tolist())),
                 }
             ),

@@ -81,10 +81,6 @@ class IntegerServant(Servant):
     live in the replica's :class:`ServiceProfile`.
     """
 
-    def __init__(self, interface: ServiceInterface, method: str = METHOD) -> None:
-        super().__init__(interface)
-        self._method = method
-
     def dispatch(self, method: str, args: Tuple[Any, ...]) -> int:
         """Echo the request index (the first argument) as the reply."""
         if method not in self.interface:

@@ -229,11 +229,7 @@ def deploy(
         if variant == "naive"
         else TimingFaultClientHandler,
         rng=deployment.streams.stream("client-1.policy"),
-        # fixed_overhead_ms pins the §5.3.3 deadline compensation: the
-        # default measures the previous decision's wall-clock cost, and
-        # letting host timing noise shift the effective deadline makes
-        # the run irreproducible bit-for-bit.
-        policy=DynamicSelectionPolicy(crash_tolerance=0, fixed_overhead_ms=0.0),
+        policy=DynamicSelectionPolicy(crash_tolerance=0),
         # Queue-scaled F keeps the open-loop load spread across the
         # fleet (A16's governed idiom); the naive variant gets the same
         # estimator, so its collapse is purely the clock-trust bug.

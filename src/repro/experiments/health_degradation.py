@@ -81,10 +81,7 @@ def _deploy(
         "client-1",
         QoSSpec(SERVICE, 100.0, 0.9),
         rng=deployment.streams.stream("client-1.policy"),
-        # fixed_overhead_ms pins the §5.3.3 deadline compensation to a
-        # simulated constant instead of the previous decision's host CPU
-        # time, which would make the run depend on the host's speed.
-        policy=DynamicSelectionPolicy(crash_tolerance=0, fixed_overhead_ms=0.0),
+        policy=DynamicSelectionPolicy(crash_tolerance=0),
         response_timeout_factor=3.0,
         probe_interval_ms=200.0,
         health_config=health if with_health else None,

@@ -35,9 +35,7 @@ __all__ = ["PolicyResult", "POLICY_FACTORIES", "run", "main"]
 
 
 def _dynamic() -> SelectionPolicy:
-    return DynamicSelectionPolicy(
-        crash_tolerance=1, compensate_overhead=True, fixed_overhead_ms=0.3
-    )
+    return DynamicSelectionPolicy(crash_tolerance=1)
 
 
 def _dynamic_uncompensated() -> SelectionPolicy:

@@ -484,8 +484,10 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         Quantization grid of the empirical pmfs.
     selection_charge_ms:
         Simulated CPU time charged between request interception and
-        transmission (covers marshalling + selection).  Also used as the
-        ``δ`` for deadline compensation, keeping runs deterministic.
+        transmission (covers marshalling + selection).  It is the one
+        ``δ`` of the paper's §5.3.3 deadline compensation: every
+        selection context carries it, so the policy evaluates
+        ``F_{R_i}(t − δ)`` in simulated time, independent of host speed.
     response_timeout_factor:
         A request with no reply after ``factor × deadline`` completes as a
         timed-out failure (the paper's clients wait forever; a closed-loop
@@ -671,11 +673,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.repository = self._repo_for(DEFAULT_CLASS)
         self.estimator = self._estimators[DEFAULT_CLASS]
 
-        self.policy = policy or DynamicSelectionPolicy(
-            crash_tolerance=1,
-            compensate_overhead=True,
-            fixed_overhead_ms=self.selection_charge_ms,
-        )
+        self.policy = policy or DynamicSelectionPolicy()
         self.stats = TimingFailureStats(min_samples=min_violation_samples)
         self._pending: Dict[int, _PendingRequest] = {}
         # msg_id -> (send time, target replica)
@@ -970,19 +968,11 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
             rng=self.rng,
             distance=self.distance,
             health=self.health,
+            selection_charge_ms=self.selection_charge_ms,
         )
         decision = self.policy.decide(ctx)
         if class_key != DEFAULT_CLASS:
             decision.meta["request_class"] = class_key
-        # The wall-clock δ of this decision (paper Fig. 3 / §5.3.3): with
-        # the incremental estimator cache hot, this is the number that
-        # should collapse — export it so experiments can watch it.
-        overhead_ms = decision.meta.get("overhead_ms")
-        if overhead_ms is not None:
-            self.metrics.observe(
-                "tf.selection_overhead_ms", float(overhead_ms),
-                labels={"client": self.host, "service": self.service},
-            )
         return decision
 
     # -- overload ---------------------------------------------------------------

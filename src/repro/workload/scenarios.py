@@ -148,7 +148,7 @@ class Scenario:
             self.lan.add_host(host)
         spec = ServiceSpec(
             service=cfg.service,
-            servant_factory=lambda: IntegerServant(self.interface, cfg.method),
+            servant_factory=lambda: IntegerServant(self.interface),
             profile_factory=self._profile_for,
             replication_level=cfg.num_replicas,
         )

@@ -158,7 +158,9 @@ class TestSelectReplicas:
 
 
 class TestDynamicSelectionPolicy:
-    def _context(self, repo, deadline=120.0, min_probability=0.9):
+    def _context(
+        self, repo, deadline=120.0, min_probability=0.9, selection_charge_ms=0.0
+    ):
         estimator = ResponseTimeEstimator(repo)
         return SelectionContext(
             replicas=repo.replicas(),
@@ -166,6 +168,7 @@ class TestDynamicSelectionPolicy:
             qos=QoSSpec("svc", deadline, min_probability),
             now_ms=0.0,
             rng=np.random.default_rng(0),
+            selection_charge_ms=selection_charge_ms,
         )
 
     def _loaded_repo(self, means):
@@ -201,31 +204,23 @@ class TestDynamicSelectionPolicy:
 
     def test_overhead_compensation_tightens_deadline(self):
         repo = self._loaded_repo({"r1": 100.0, "r2": 100.0})
-        policy = DynamicSelectionPolicy(
-            compensate_overhead=True, fixed_overhead_ms=5.0
+        policy = DynamicSelectionPolicy(compensate_overhead=True)
+        decision = policy.decide(
+            self._context(repo, deadline=107.0, selection_charge_ms=5.0)
         )
-        decision = policy.decide(self._context(repo, deadline=107.0))
         # Effective deadline 102.0: response times are 103 -> F = 0.
         assert decision.meta["effective_deadline_ms"] == pytest.approx(102.0)
+        assert decision.meta["overhead_ms"] == pytest.approx(5.0)
         assert decision.meta["fallback"] is True
 
     def test_without_compensation_deadline_unchanged(self):
         repo = self._loaded_repo({"r1": 100.0, "r2": 100.0})
         policy = DynamicSelectionPolicy(compensate_overhead=False)
-        decision = policy.decide(self._context(repo, deadline=107.0))
+        decision = policy.decide(
+            self._context(repo, deadline=107.0, selection_charge_ms=5.0)
+        )
         assert decision.meta["effective_deadline_ms"] == pytest.approx(107.0)
         assert decision.meta["fallback"] is False
-
-    def test_overhead_is_measured_each_decision(self):
-        repo = self._loaded_repo({"r1": 100.0})
-        policy = DynamicSelectionPolicy()
-        assert policy.last_overhead_ms == 0.0
-        policy.decide(self._context(repo))
-        assert policy.last_overhead_ms > 0.0
-
-    def test_negative_fixed_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicSelectionPolicy(fixed_overhead_ms=-1.0)
 
     def test_decision_meta_has_probabilities(self):
         repo = self._loaded_repo({"r1": 50.0, "r2": 60.0})

@@ -1,9 +1,5 @@
-"""RL002 clean: sim clock plus the sanctioned ``perf_counter`` exemption."""
-
-import time
+"""RL002 clean: time comes from the sim clock only."""
 
 
-def overhead(sim) -> float:
-    t0 = time.perf_counter()
-    _ = sim.now
-    return time.perf_counter() - t0
+def elapsed(sim, started_ms: float) -> float:
+    return sim.now - started_ms

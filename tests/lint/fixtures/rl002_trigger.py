@@ -1,4 +1,4 @@
-"""RL002 trigger: wall-clock reads inside a simulation layer."""
+"""RL002 trigger: host-time reads inside a simulation layer."""
 
 import time
 from datetime import datetime
@@ -7,3 +7,9 @@ from datetime import datetime
 def stamp() -> float:
     started = datetime.now().timestamp()
     return time.time() - started
+
+
+def overhead(sim) -> float:
+    t0 = time.perf_counter()
+    _ = sim.now
+    return time.perf_counter() - t0

@@ -18,7 +18,7 @@ from .conftest import FIXTURES_DIR
 #  minimum violations the trigger must raise)
 CASES = [
     ("RL001", "rl001_trigger.py", "rl001_clean.py", "src/repro/core/sampler.py", 3),
-    ("RL002", "rl002_trigger.py", "rl002_clean.py", "src/repro/sim/clocked.py", 2),
+    ("RL002", "rl002_trigger.py", "rl002_clean.py", "src/repro/sim/clocked.py", 3),
     ("RL003", "rl003_trigger.py", "rl003_clean.py", "src/repro/core/compare.py", 2),
     ("RL004", "rl004_trigger.py", "rl004_clean.py", "src/repro/overload/meddler.py", 3),
     ("RL005", "rl005_trigger.py", "rl005_clean.py", "src/repro/sim/events.py", 1),

@@ -1,6 +1,6 @@
 """repro-lint: the repository's custom determinism/lifecycle lint pack.
 
-Five AST-based rules encode the invariants that keep the reproduction
+Six AST-based rules encode the invariants that keep the reproduction
 deterministic and its request lifecycle auditable — properties a general
 linter cannot know about:
 
@@ -8,10 +8,9 @@ linter cannot know about:
   no stdlib ``random``, no ``np.random.seed``/``RandomState``, no ad-hoc
   ``np.random.default_rng`` outside ``src/repro/rng/``.
 * **RL002** — the simulation layers tell time only through the sim
-  clock: no ``time.time``/``time.monotonic``/``datetime.now`` inside
-  ``sim/``, ``core/``, ``gateway/``, ``overload/``, ``health/``
-  (``time.perf_counter`` is exempt: it measures host CPU overhead, not
-  simulated time — see docs/STATIC_ANALYSIS.md).
+  clock: no ``time.time``/``time.monotonic``/``time.perf_counter``/
+  ``time.process_time``/``datetime.now`` (or their kin) inside
+  ``sim/``, ``core/``, ``gateway/``, ``overload/``, ``health/``.
 * **RL003** — no bare float ``==``/``!=`` on pmf/time-valued
   expressions; exact comparisons belong to the grid-tolerance helpers in
   ``core/distribution.py``.
@@ -21,6 +20,8 @@ linter cannot know about:
   :class:`~repro.faultinject.auditor.LifecycleAuditor` relies on).
 * **RL005** — hot-path dataclasses in ``net/message.py`` and
   ``sim/events.py`` must declare ``slots=True``.
+* **RL006** — gateway handlers stamp time on their host's clock
+  (``self.clock.now``), never on the kernel's ``sim.now``.
 
 Run as ``python -m repro_lint src/`` (exits non-zero on violations) or
 through the pytest suite in ``tests/lint/``.  Suppress a finding with a

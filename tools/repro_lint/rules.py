@@ -149,28 +149,37 @@ class SimClockOnly(Rule):
     """RL002 — simulation layers read time from the sim clock only."""
 
     rule_id = "RL002"
-    title = "no wall-clock reads inside the simulation layers"
+    title = "no host-time reads inside the simulation layers"
 
     SCOPES = ("/sim/", "/core/", "/gateway/", "/overload/", "/health/")
 
-    #: Wall-clock reads.  ``time.perf_counter`` is deliberately exempt —
-    #: it measures host CPU overhead (paper §5.3.3's delta), never
-    #: simulated time; docs/STATIC_ANALYSIS.md records the exemption.
-    BANNED = frozenset(
+    #: Host clocks of the ``time`` module: wall, monotonic and CPU time.
+    #: No exemption — a host-time read that reaches simulated state makes
+    #: results depend on the host's speed (the paper's §5.3.3 delta is a
+    #: modelled charge, not a measurement).
+    BANNED_FROM_TIME = frozenset(
         {
-            "time.time",
-            "time.time_ns",
-            "time.monotonic",
-            "time.monotonic_ns",
+            "time",
+            "time_ns",
+            "monotonic",
+            "monotonic_ns",
+            "perf_counter",
+            "perf_counter_ns",
+            "process_time",
+            "process_time_ns",
+            "thread_time",
+            "thread_time_ns",
+        }
+    )
+
+    BANNED = frozenset(
+        {f"time.{name}" for name in BANNED_FROM_TIME}
+        | {
             "datetime.datetime.now",
             "datetime.datetime.utcnow",
             "datetime.datetime.today",
             "datetime.date.today",
         }
-    )
-
-    BANNED_FROM_TIME = frozenset(
-        {"time", "time_ns", "monotonic", "monotonic_ns"}
     )
 
     def applies_to(self, path: str) -> bool:
@@ -188,7 +197,7 @@ class SimClockOnly(Rule):
                                 self.violation(
                                     path,
                                     node,
-                                    f"wall-clock `time.{name.name}` is "
+                                    f"host-time `time.{name.name}` is "
                                     "banned here; use the sim clock "
                                     "(Simulator.now)",
                                 )
@@ -203,7 +212,7 @@ class SimClockOnly(Rule):
                         self.violation(
                             path,
                             node,
-                            f"wall-clock `{resolved}` is banned here; use "
+                            f"host-time `{resolved}` is banned here; use "
                             "the sim clock (Simulator.now)",
                         )
                     )
